@@ -45,9 +45,10 @@ MODE="${1:-plain}"
 # optimistic version-latched B-link index (lock-free readers racing writer
 # latch hand-over-hand and version publication — DESIGN.md §14), and the
 # TPC-C-lite workload suites (multi-table concurrent-vs-serial equivalence
-# replay, the seed-sweep explorer's tpcc mode, and the open-loop load
-# generator driving a live TM — DESIGN.md §15).
-SANITIZER_TESTS='obs_|core_tm_|mw_|common_histogram|common_thread_pool|common_blocking_queue|common_keyed_mutex|txrep_system|check_|recov_|kv_disk_|kv_batch_|core_batch_|trace_|net_|blink_|workload_'
+# replay and the open-loop load generator driving a live TM — DESIGN.md
+# §15). The schedule-explorer sweep shards (check_schedule_explorer_sweep_*,
+# which cover the TPC-C and wire axes too) match `check_`.
+SANITIZER_TESTS='obs_|core_tm_|mw_|common_histogram|common_thread_pool|common_blocking_queue|txrep_system|check_|recov_|kv_disk_|kv_batch_|core_batch_|trace_|net_|blink_|workload_'
 
 # Flavor results for the final summary: "name<TAB>PASS|SKIP (reason)".
 RESULTS=()

@@ -1,6 +1,7 @@
 #ifndef TXREP_CHECK_SCHEDULE_EXPLORER_H_
 #define TXREP_CHECK_SCHEDULE_EXPLORER_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -17,100 +18,65 @@ class QueryTranslator;
 
 namespace txrep::check {
 
-/// Knobs of the schedule-exploration harness.
+/// Run shape of the schedule-exploration harness. Everything a schedule
+/// replays — workload, apply target, tracing, crash point, wire and
+/// opt-latch phases, TM and store knobs — is drawn from its seed alone, so a
+/// failure reproduces from the seed (DESIGN.md §8).
 struct ScheduleExplorerOptions {
   /// Schedule i explores seed base_seed + i.
   uint64_t base_seed = 1;
 
-  /// How many seeds to explore. Each seed derives a complete configuration:
-  /// workload shape (hot-row count, statement mix), TM thread counts, store
-  /// service time, failure injection, GC threshold, buffer/filter toggles
-  /// and the read-only interleave rate.
+  /// How many seeds to explore.
   int schedules = 200;
 
-  /// Update transactions generated per schedule.
-  int txns_per_schedule = 40;
-
   /// Run the full replica-equivalence audit (rows + hash postings + B-link
-  /// structure) every Nth schedule in addition to the byte-equality check.
-  /// 0 disables the audit. The audit is an order of magnitude slower than
-  /// the dump comparison, hence the sampling.
-  int audit_every = 8;
+  /// structure) on seeds divisible by `audit_every`, in addition to the
+  /// byte-equality check. 0 disables the audit. The audit is an order of
+  /// magnitude slower than the dump comparison, hence the sampling. Keep it
+  /// coprime to the axis stripes (3, 7, 8, 11, 17, 19) so audited seeds span
+  /// every axis combination.
+  int audit_every = 5;
 
-  /// Crash-restart mode (requires `scratch_dir`): after the concurrent /
-  /// serial comparison, each schedule additionally replays through a TM that
-  /// "crashes" at a seed-derived LSN right after taking a checkpoint —
-  /// optionally preceded by a seed-derived faulted checkpoint attempt (torn
-  /// manifest or crash mid-snapshot-files) whose debris must be ignored. A
-  /// fresh process-equivalent then recovers from the newest usable
-  /// checkpoint, replays the log tail, and must be byte-identical to serial
-  /// replay.
-  bool crash_restart = false;
-
-  /// Directory for crash-restart checkpoint files; each seed uses a private
-  /// subdirectory that is wiped before and after the schedule.
+  /// Directory for the crash-restart phase's checkpoint files; each seed
+  /// uses a private subdirectory that is wiped before and after the
+  /// schedule. A seed that draws crash-restart fails with InvalidArgument
+  /// while this is empty.
   std::string scratch_dir;
-
-  /// Traced mode: the concurrent TM replays with a live Tracer whose
-  /// sampling period is drawn from a private random stream (so existing
-  /// seeds reproduce identically in either mode), with contexts minted per
-  /// LSN exactly as the pipeline would. The byte-equality oracle is
-  /// unchanged — a diverging dump means tracing perturbed replay — and a
-  /// schedule whose period guarantees sampled transactions must leave spans
-  /// in the flight recorder (else the tracing path silently dropped out).
-  bool traced = false;
-
-  /// Batched-apply mode: the concurrent replica becomes a seed-derived
-  /// KvCluster (node count and dispatch threads drawn from the seed) and the
-  /// TM's write-set dispatcher gets a seed-derived chunk size / adaptive
-  /// flag, so the whole MultiWrite fan-out path joins the explored state
-  /// space. The batched knobs come from a private random stream, so existing
-  /// seeds reproduce identically in either mode. The serial reference pins
-  /// its dispatcher to batch size 1 — op-at-a-time ground truth through the
-  /// batch API.
-  bool batched_apply = false;
-
-  /// Wire mode: each schedule additionally replays through the full
-  /// cross-process wire boundary — publisher → broker → NetEndpoint →
-  /// socketpair frames → NetSubscription → remote replica — with frame
-  /// batch size, queue bounds, credit window and a kill point all drawn
-  /// from a private random stream (existing seeds reproduce identically in
-  /// either mode). Mid-stream the connection is hard-killed (server
-  /// DropSessions or client InjectDisconnect, seed's choice) and the
-  /// subscriber must reconnect, resume from its high-water LSN, dedup the
-  /// replayed retention, and still end byte-identical to serial replay —
-  /// the paper's replica-equivalence oracle applied across the wire.
-  bool wire = false;
-
-  /// Optimistic-latch mode: exercises the B-link version-latch protocol
-  /// (DESIGN.md §14) from two directions. (a) During the concurrent replay a
-  /// seed-derived fraction of the interleaved read-only transactions become
-  /// *index probes*: each builds an ephemeral BlinkTree over its buffered
-  /// view and runs a full range scan, so the optimistic read path sees the
-  /// torn cross-key snapshots a transaction buffer can serve (scans must
-  /// still come back sorted; Aborted is legal and flows into the TM's
-  /// restart machinery). (b) After the replay, a scratch-store hammer runs
-  /// seed-derived reader threads (scans, point lookups, entry counts)
-  /// against writer threads inserting through the tree while a
-  /// BatchDispatcher applies row noise to the same store; readers must never
-  /// observe a missing seed entry or unsorted output, and the quiesced tree
-  /// must pass the structural + latch audits with an exact entry count. The
-  /// knobs come from a private random stream, so existing seeds reproduce
-  /// identically in either mode.
-  bool opt_latch = false;
-
-  /// TPC-C mode: the seed's workload becomes a TPC-C-lite deployment
-  /// (src/workload/tpcc.h) instead of the single-table synthetic — schema +
-  /// population + a NewOrder/Payment write stream whose warehouse count,
-  /// district/customer/item scale, warehouse Zipf skew, mix weights and
-  /// remote-line fraction are all drawn from a private random stream. The
-  /// contended district counters and cross-table multi-statement commits put
-  /// multi-table write sets (and their class signatures) into the explored
-  /// state space; interleaved read-only probes target CUSTOMER rows and
-  /// opt_latch index probes move to the churning STOCK.S_QUANTITY index.
-  /// Composes with crash_restart, batched_apply, traced and wire.
-  bool tpcc = false;
 };
+
+/// The axes every seed draws, as bits of a mask: each is on for a
+/// seed-derived subset of schedules and, when on, brings its own
+/// seed-derived knobs.
+enum ScheduleAxis : uint32_t {
+  /// The workload is a TPC-C-lite deployment (warehouse count, scale, Zipf
+  /// skew, NewOrder/Payment mix, remote-line fraction) instead of the
+  /// single-table synthetic one.
+  kAxisTpcc = 1u << 0,
+  /// The concurrent replica is a KvCluster (node count, dispatch threads)
+  /// and the TM's write-set dispatcher chunks (batch size, adaptive flag);
+  /// the crash phase's TM and tail applier use the same chunking.
+  kAxisBatchedApply = 1u << 1,
+  /// After the replay, a TM applies a prefix up to the crash point and
+  /// checkpoints — optionally after a torn-manifest or mid-snapshot fault
+  /// whose debris recovery must ignore — then a fresh replica recovers from
+  /// disk plus the log tail and must byte-equal serial replay.
+  kAxisCrashRestart = 1u << 2,
+  /// The concurrent TM replays with a live Tracer (sampling period drawn);
+  /// a schedule whose period guarantees sampled transactions must leave
+  /// spans in the flight recorder.
+  kAxisTraced = 1u << 3,
+  /// Part of the interleaved read-only slots become B-link range scans over
+  /// the buffered view (they must come back sorted), and a scratch-store
+  /// hammer races readers against tree writers plus a BatchDispatcher,
+  /// ending with the structural + latch audits and an exact entry count.
+  kAxisOptLatch = 1u << 4,
+  /// The log also replays over the wire boundary (publisher → broker →
+  /// NetEndpoint → socketpair → RemoteReplica) with drawn queue, credit and
+  /// batch bounds; the connection is killed mid-stream from a drawn side,
+  /// and the reconnected replica must byte-equal serial replay.
+  kAxisWire = 1u << 5,
+};
+inline constexpr int kNumScheduleAxes = 6;
 
 /// One schedule that diverged from serial replay (or tripped an invariant).
 struct ScheduleFailure {
@@ -128,29 +94,40 @@ struct ScheduleReport {
   int64_t conflicts = 0;
   int64_t restarts = 0;
   /// Optimistic B-link read events (validation retries + lock-bit spins +
-  /// move-rights + root restarts) accumulated by opt_latch-mode hammers —
-  /// the health signal that the version-latch protocol actually engaged
-  /// (~0 means readers never raced a writer).
+  /// move-rights + root restarts) accumulated by opt-latch hammers — the
+  /// health signal that the version-latch protocol actually engaged (~0
+  /// means readers never raced a writer).
   int64_t blink_read_events = 0;
+  /// Schedules that ran the sampled deep audit.
+  int deep_audits = 0;
+  /// Schedules per drawn axis mask (index = mask of ScheduleAxis bits): the
+  /// run's coverage.
+  std::array<int, 1u << kNumScheduleAxes> schedules_by_axes{};
   std::vector<ScheduleFailure> failures;
 
   bool ok() const { return failures.empty(); }
 
-  /// One-line summary, e.g.
-  /// "schedules=200 txns=8000 conflicts=1234 restarts=1301 failures=0".
+  /// Schedules whose drawn axes include every axis in `axes`.
+  int SchedulesWith(uint32_t axes) const;
+
+  /// One-line summary, e.g. "schedules=250 txns=6000 conflicts=1234
+  /// restarts=1301 tpcc=167 batched=214 crash=156 traced=68 opt_latch=58
+  /// wire=59 audits=50 blink_reads=4000 failures=0".
   std::string Summary() const;
 };
 
 /// Randomized schedule exploration for the Transaction Manager (DESIGN.md
-/// §8): for each seed, generate a randomized insert/update/delete workload
-/// (with hash- and range-index maintenance so index objects join the
-/// conflict sets), replay it twice — once serially, once through a TM whose
-/// every knob is drawn from the seed — and require the two replicas to be
-/// byte-identical. Adversarial pressure comes from hot-row contention, store
-/// service-time jitter, transient-failure injection (exercising the restart
-/// path) and interleaved read-only transactions; TM bookkeeping is audited
-/// via CheckInvariants() after every schedule, and the full replica-
-/// equivalence audit runs on a sample of schedules.
+/// §8): for each seed, generate a workload (synthetic insert/update/delete
+/// with hash- and range-index maintenance, or TPC-C-lite), replay it twice —
+/// once serially, once through a TM whose every knob is drawn from the seed
+/// — and require the two replicas to be byte-identical. Adversarial pressure
+/// comes from hot-row contention, store service-time jitter,
+/// transient-failure injection (exercising the restart path) and
+/// interleaved read-only transactions; TM bookkeeping is audited via
+/// CheckInvariants() after every schedule, and the full replica-equivalence
+/// audit runs on a sample of schedules. The seed's ScheduleAxis draws add
+/// the crash-restart, wire and opt-latch phases and vary the workload,
+/// apply target and tracing.
 ///
 /// A divergence means Algorithm 1 committed a non-serializable order — the
 /// exact bug class the paper's design must exclude.
@@ -163,36 +140,11 @@ class ScheduleExplorer {
   ScheduleReport Run();
 
   /// Runs the single schedule derived from `seed`. OK when concurrent replay
-  /// matches serial replay and all invariants hold.
+  /// matches serial replay and all invariants hold; otherwise the message
+  /// names the seed and its drawn axes.
   Status RunOne(uint64_t seed);
 
  private:
-  /// RunOne body that also accumulates stats into `report` (null ok).
-  Status RunOneInternal(uint64_t seed, ScheduleReport* report);
-
-  /// Crash-restart phase of one schedule: checkpoint at a seed-derived
-  /// point, discard the live replica, recover from disk + log tail, compare
-  /// against `serial_dump`.
-  Status RunCrashRestart(uint64_t seed, rel::Database& db,
-                         const qt::QueryTranslator& translator,
-                         const kv::StoreDump& serial_dump);
-
-  /// Wire phase of one schedule: replay the log over a socketpair into a
-  /// RemoteReplica (catalog over the wire), kill the connection mid-stream,
-  /// and compare the reconnected replica against `serial_dump`.
-  /// `max_node_keys` pins the remote B-link layout to the serial one.
-  Status RunWire(uint64_t seed, rel::Database& db, size_t max_node_keys,
-                 const kv::StoreDump& serial_dump);
-
-  /// Optimistic-latch hammer of one schedule: seed-derived reader threads
-  /// run scans / lookups / counts through one shared BlinkTree on a scratch
-  /// store while writer threads insert through the tree and a
-  /// BatchDispatcher applies row noise beside it; ends with the structural +
-  /// latch audits and an exact entry count. Accumulates the tree's read
-  /// events into `report` (null ok).
-  Status RunOptLatchHammer(uint64_t seed, size_t max_node_keys,
-                           ScheduleReport* report);
-
   const ScheduleExplorerOptions options_;
 };
 

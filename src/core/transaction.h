@@ -112,8 +112,8 @@ class Transaction {
   trace::TraceContext trace;
 
   /// Commit LSN of the shipped update transaction this one replays (0 for
-  /// read-only transactions). The TM folds it into last_applied_lsn() when
-  /// the transaction completes — the basis of checkpoint snapshot epochs.
+  /// read-only transactions). The TM's last_applied_lsn() — the basis of
+  /// checkpoint snapshot epochs — is the LSN before the lowest in flight.
   // analyze: lock-free(assigned once at log append, immutable afterwards)
   uint64_t lsn = 0;
 

@@ -119,6 +119,7 @@ TransactionManager::TxnPtr TransactionManager::SubmitInternal(
       return txn;
     }
     active_[txn->seq()] = txn;
+    if (!read_only) last_submitted_lsn_ = lsn;
     c_submitted_->Increment();
     if (read_only) c_read_only_submitted_->Increment();
   }
@@ -348,9 +349,6 @@ void TransactionManager::ApplyTask(const TxnPtr& txn) {
     committed_.erase(txn->seq());
     completed_[txn->seq()] = txn;
     active_.erase(txn->seq());
-    // Bottom-pool completions land out of order, so track the max; it equals
-    // the applied-prefix end whenever active_ is empty (idle / quiesced).
-    if (txn->lsn > last_applied_lsn_) last_applied_lsn_ = txn->lsn;
     c_completed_->Increment();
     h_txn_restarts_->Record(txn->restart_count);
     if (txn->db_commit_micros != 0) {
@@ -408,6 +406,7 @@ void TransactionManager::GcTask() {
 }
 
 void TransactionManager::FailLocked(const Status& status) {
+  last_submitted_lsn_ = AppliedPrefixLocked();
   health_ = status;
   TXREP_LOG(kError) << "transaction manager failed: " << status.ToString();
   // Finish everything still in flight so waiters unblock.
@@ -453,7 +452,17 @@ Status TransactionManager::QuiesceBarrier(
 
 uint64_t TransactionManager::last_applied_lsn() const {
   check::MutexLock lock(&mu_);
-  return last_applied_lsn_;
+  return AppliedPrefixLocked();
+}
+
+uint64_t TransactionManager::AppliedPrefixLocked() const {
+  // Computed here rather than maintained on completion, so the apply path
+  // does no extra work. active_ is in sequence order; read-only
+  // transactions carry no LSN and hold nothing back.
+  for (const auto& [seq, txn] : active_) {
+    if (!txn->read_only()) return txn->lsn > 0 ? txn->lsn - 1 : 0;
+  }
+  return last_submitted_lsn_;
 }
 
 Status TransactionManager::health() const {

@@ -159,10 +159,11 @@ class TransactionManager {
   /// failure status if it failed before the barrier was reached.
   Status QuiesceBarrier(const std::function<Status()>& fn);
 
-  /// Highest commit LSN among completed update transactions. Because the
-  /// bottom pool applies concurrently, this is exact (equal to the applied
-  /// *prefix* end) only when the TM is idle or quiesced — the only states
-  /// checkpointing reads it in.
+  /// End of the applied prefix: every update LSN up to it has been applied
+  /// to the store. That is the LSN of the lowest-sequence update still in
+  /// flight minus 1, or the last submitted LSN when none is (assumes dense
+  /// LSNs in submission order, as the subscriber delivers them). Updates the
+  /// bottom pool completed above an in-flight one do not count.
   uint64_t last_applied_lsn() const;
 
   /// Sticky failure status (OK while healthy).
@@ -237,6 +238,9 @@ class TransactionManager {
 
   /// Marks the TM failed and wakes everyone.
   void FailLocked(const Status& status) TXREP_REQUIRES(mu_);
+
+  /// last_applied_lsn() under mu_.
+  uint64_t AppliedPrefixLocked() const TXREP_REQUIRES(mu_);
 
   /// Resolves all instruments from `metrics`. Called once from the ctor,
   /// before any thread starts.
@@ -328,8 +332,9 @@ class TransactionManager {
   bool stopping_ TXREP_GUARDED_BY(mu_) = false;
   /// A quiescent barrier is draining: Submit* parks until it clears.
   bool quiescing_ TXREP_GUARDED_BY(mu_) = false;
-  /// Max commit LSN over completed update transactions (see accessor).
-  uint64_t last_applied_lsn_ TXREP_GUARDED_BY(mu_) = 0;
+  /// LSN of the last update transaction submitted; frozen at the applied
+  /// prefix when the TM fails (nothing in flight will apply any more).
+  uint64_t last_submitted_lsn_ TXREP_GUARDED_BY(mu_) = 0;
   Status health_ TXREP_GUARDED_BY(mu_) = Status::OK();
 
   // analyze: lock-free(thread handle; started in ctor, joined in dtor only)

@@ -36,8 +36,6 @@ TxRepSystem::~TxRepSystem() {
   if (broker_ != nullptr) broker_->Shutdown();   // Unblocks the subscriber.
   if (subscriber_ != nullptr) subscriber_->Stop();
   tm_.reset();  // Waits for in-flight transactions.
-  lag_queue_.Close();
-  if (lag_thread_.joinable()) lag_thread_.join();
 }
 
 Status TxRepSystem::Start() {
@@ -109,11 +107,8 @@ Status TxRepSystem::Start() {
   if (slo_ != nullptr) {
     slo_->SetProgressProbe([this] {
       trace::SloProbe probe;
-      // Genuinely applied progress (the TM path may still have subscriber-
-      // delivered transactions in flight; hand-off is not progress).
-      const uint64_t applied = tm_ != nullptr ? tm_->last_applied_lsn()
-                                              : serial_->last_applied_lsn();
-      probe.applied_lsn = std::max(applied, snapshot_lsn_);
+      // Genuinely applied progress: hand-off to the TM is not progress.
+      probe.applied_lsn = replica_lsn();
       const uint64_t last = db_.log().LastLsn();
       probe.backlog = last > probe.applied_lsn
                           ? static_cast<int64_t>(last - probe.applied_lsn)
@@ -121,10 +116,6 @@ Status TxRepSystem::Start() {
       return probe;
     });
     slo_->Start();
-  }
-
-  if (options_.measure_lag) {
-    lag_thread_ = std::thread([this] { LagLoop(); });
   }
 
   broker_ = std::make_unique<mw::Broker>(options_.broker, &registry_);
@@ -142,25 +133,14 @@ Status TxRepSystem::Start() {
 }
 
 Status TxRepSystem::ApplySink(rel::LogTransaction txn) {
-  const int64_t commit_micros = txn.commit_micros;
   if (tm_ != nullptr) {
-    std::shared_ptr<core::Transaction> handle =
-        tm_->SubmitUpdate(std::move(txn));
-    if (options_.measure_lag) {
-      lag_queue_.Push(LagProbe{std::move(handle), commit_micros});
-    }
+    tm_->SubmitUpdate(std::move(txn));
     return tm_->health();
   }
-  {
-    // Shared against Checkpoint()'s exclusive hold: a snapshot never
-    // observes a transaction half-applied by the serial path.
-    check::ReaderMutexLock lock(&apply_gate_);
-    TXREP_RETURN_IF_ERROR(serial_->Apply(txn));
-  }
-  if (options_.measure_lag) {
-    lag_histogram_.Record(NowMicros() - commit_micros);
-  }
-  return Status::OK();
+  // Shared against Checkpoint()'s exclusive hold: a snapshot never
+  // observes a transaction half-applied by the serial path.
+  check::ReaderMutexLock lock(&apply_gate_);
+  return serial_->Apply(txn);
 }
 
 Result<recov::CheckpointStats> TxRepSystem::Checkpoint() {
@@ -174,13 +154,10 @@ Result<recov::CheckpointStats> TxRepSystem::Checkpoint() {
   Result<recov::CheckpointStats> result =
       Status::Internal("checkpoint callback never ran");
   auto write = [&]() -> Status {
-    // At the quiescent point the replica holds exactly the dense transaction
-    // prefix through last_applied (submissions are parked, nothing is in
-    // flight), so last_applied is the snapshot epoch.
-    const uint64_t applied = tm_ != nullptr ? tm_->last_applied_lsn()
-                                            : serial_->last_applied_lsn();
-    const uint64_t epoch = std::max(applied, snapshot_lsn_);
-    result = checkpoint_writer_->Write(epoch, *cluster_);
+    // At the quiescent point the replica holds exactly the applied prefix
+    // (submissions are parked, nothing is in flight), so it is the snapshot
+    // epoch.
+    result = checkpoint_writer_->Write(replica_lsn(), *cluster_);
     return result.ok() ? Status::OK() : result.status();
   };
   if (tm_ != nullptr) {
@@ -200,18 +177,6 @@ void TxRepSystem::set_checkpoint_faults(
     const recov::CheckpointFaults& faults) {
   options_.recovery.faults = faults;
   if (checkpoint_writer_ != nullptr) checkpoint_writer_->set_faults(faults);
-}
-
-void TxRepSystem::LagLoop() {
-  for (;;) {
-    std::optional<LagProbe> probe = lag_queue_.Pop();
-    if (!probe.has_value()) return;
-    if (probe->handle != nullptr) {
-      // analyze: discard(lag probe only measures elapsed time; apply errors surface on the apply path itself)
-      (void)probe->handle->Wait();
-    }
-    lag_histogram_.Record(NowMicros() - probe->commit_micros);
-  }
 }
 
 Status TxRepSystem::AttachWireEndpoint(net::EndpointOptions options) {
@@ -314,13 +279,8 @@ Result<qt::ConsistencyReport> TxRepSystem::AuditReplica() {
 }
 
 uint64_t TxRepSystem::TruncateReplicatedLog() {
-  // Only transactions the replica *applied* may be dropped; for the TM path
-  // an LSN handed to the subscriber may still be in flight, so wait for the
-  // manager to drain before reading the watermark.
-  if (tm_ != nullptr) {
-    // analyze: discard(drain before reading the watermark; on timeout the stale watermark just truncates less)
-    (void)tm_->WaitIdle();
-  }
+  // Only transactions the replica *applied* may be dropped: replica_lsn() is
+  // the applied prefix, so in-flight LSNs stay in the log.
   const uint64_t watermark = replica_lsn();
   if (watermark > 0) {
     db_.log().TruncateUpTo(watermark);
@@ -329,9 +289,13 @@ uint64_t TxRepSystem::TruncateReplicatedLog() {
 }
 
 uint64_t TxRepSystem::replica_lsn() const {
-  const uint64_t shipped =
-      subscriber_ != nullptr ? subscriber_->applied_lsn() : 0;
-  return std::max(shipped, snapshot_lsn_);
+  uint64_t applied = 0;
+  if (tm_ != nullptr) {
+    applied = tm_->last_applied_lsn();
+  } else if (serial_ != nullptr) {
+    applied = serial_->last_applied_lsn();
+  }
+  return std::max(applied, snapshot_lsn_);
 }
 
 }  // namespace txrep

@@ -3,11 +3,9 @@
 
 #include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "blink/blink_tree.h"
-#include "common/blocking_queue.h"
 #include "common/histogram.h"
 #include "common/result.h"
 #include "core/serial_applier.h"
@@ -72,9 +70,6 @@ struct TxRepOptions {
   /// true: the paper's concurrent TM applies transactions.
   /// false: the single-threaded serial baseline.
   bool concurrent_replication = true;
-
-  /// Record per-transaction replication lag (DB commit -> replica apply).
-  bool measure_lag = false;
 
   /// > 0: a background reporter thread dumps the metrics registry at this
   /// interval (to the log by default, or to `metrics_report_sink`).
@@ -203,10 +198,6 @@ class TxRepSystem {
   obs::MetricsRegistry& metrics() { return registry_; }
   const obs::MetricsRegistry& metrics() const { return registry_; }
 
-  /// Replication lag distribution in microseconds (empty unless
-  /// options.measure_lag).
-  const Histogram& lag_histogram() const { return lag_histogram_; }
-
   /// The deployment tracer (null unless options.trace.sample_every > 0).
   /// Dump() / Exemplars() read the flight recorder; feed the result to
   /// trace/export.h for Chrome-trace JSON or a text timeline.
@@ -215,7 +206,10 @@ class TxRepSystem {
   /// The SLO watchdog (null unless options.slo.enabled).
   trace::SloWatchdog* slo() { return slo_.get(); }
 
-  /// Highest LSN applied on the replica.
+  /// End of the applied prefix: every LSN up to it is applied on the
+  /// replica (the TM's last_applied_lsn() or the serial applier's; never
+  /// below the snapshot LSN). Transactions handed to the TM but still in
+  /// flight do not count.
   uint64_t replica_lsn() const;
 
   /// Audits the replica against the database (row objects, hash postings,
@@ -223,23 +217,17 @@ class TxRepSystem {
   /// meaningful answer.
   Result<qt::ConsistencyReport> AuditReplica();
 
-  /// Truncates the database's transaction log up to what the replica has
-  /// durably applied (shipped-and-completed LSN). Returns the truncation
-  /// point. Safe at any time: the publisher never re-reads below its shipped
-  /// cursor, and entries above the returned LSN are retained.
+  /// Truncates the database's transaction log up to the replica's applied
+  /// prefix (replica_lsn()). Returns the truncation point. Safe at any time:
+  /// the publisher never re-reads below its shipped cursor, and entries
+  /// above the returned LSN are retained.
   uint64_t TruncateReplicatedLog();
 
   const qt::QueryTranslator& translator() const { return *translator_; }
   const TxRepOptions& options() const { return options_; }
 
  private:
-  struct LagProbe {
-    std::shared_ptr<core::Transaction> handle;  // Null under serial applier.
-    int64_t commit_micros = 0;
-  };
-
   Status ApplySink(rel::LogTransaction txn);
-  void LagLoop();
 
   /// Declared first so it is destroyed last: every component below holds
   /// instrument pointers into it.
@@ -281,13 +269,6 @@ class TxRepSystem {
   std::unique_ptr<mw::PublisherAgent> publisher_;
   // analyze: lock-free(wired before worker threads start; teardown joins first)
   std::unique_ptr<mw::SubscriberAgent> subscriber_;
-
-  // analyze: lock-free(Histogram is internally synchronized)
-  Histogram lag_histogram_;
-  // analyze: lock-free(BlockingQueue is internally synchronized)
-  BlockingQueue<LagProbe> lag_queue_;
-  // analyze: lock-free(thread handle; started once, joined in Stop/dtor only)
-  std::thread lag_thread_;
 
   /// Serializes serial-path applies against checkpointing: the subscriber
   /// sink holds it shared per transaction, Checkpoint() exclusively (the TM

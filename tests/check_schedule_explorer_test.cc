@@ -1,6 +1,10 @@
 // Schedule exploration: for every seed, concurrent replay through the TM
-// must byte-equal serial replay. The default sweep runs 200 seeds (override
-// with TXREP_SCHEDULE_SEEDS for quick local runs or deeper soaks).
+// must byte-equal serial replay, across every axis the seed draws (TPC-C
+// workload, batched apply, crash-restart, tracing, opt-latch, wire). The
+// sweep covers seeds 1..1000 in kSweepShards disjoint ranges, each its own
+// ctest entry (tests/CMakeLists.txt) so `ctest -j` runs them in parallel;
+// TXREP_SCHEDULE_SEEDS overrides the total seed count for quick local runs
+// or deeper soaks.
 
 #include "check/schedule_explorer.h"
 
@@ -12,6 +16,13 @@
 namespace txrep::check {
 namespace {
 
+constexpr int kSweepSeeds = 1000;
+constexpr int kSweepShards = 4;  // Keep in sync with tests/CMakeLists.txt.
+
+constexpr ScheduleAxis kAxes[] = {kAxisTpcc,     kAxisBatchedApply,
+                                  kAxisCrashRestart, kAxisTraced,
+                                  kAxisOptLatch, kAxisWire};
+
 int SeedsFromEnv(int fallback) {
   const char* env = std::getenv("TXREP_SCHEDULE_SEEDS");
   if (env == nullptr) return fallback;
@@ -19,190 +30,119 @@ int SeedsFromEnv(int fallback) {
   return value > 0 ? value : fallback;
 }
 
-TEST(ScheduleExplorerTest, SweepFindsNoDivergence) {
+std::string FailureDetails(const ScheduleReport& report) {
+  std::string details;
+  for (const ScheduleFailure& failure : report.failures) {
+    details += "\n  " + failure.detail;
+  }
+  return details;
+}
+
+class ScheduleExplorerSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(ScheduleExplorerSweep, FindsNoDivergence) {
+  const int total = SeedsFromEnv(kSweepSeeds);
+  const int shard = GetParam();
+  const int begin = total * shard / kSweepShards;
+  const int end = total * (shard + 1) / kSweepShards;
   ScheduleExplorerOptions options;
-  options.base_seed = 1;
-  options.schedules = SeedsFromEnv(200);
-  options.txns_per_schedule = 30;
-  options.audit_every = 8;
+  options.base_seed = 1 + static_cast<uint64_t>(begin);
+  options.schedules = end - begin;
+  options.scratch_dir =
+      ::testing::TempDir() + "txrep_sweep_" + std::to_string(shard);
 
   ScheduleExplorer explorer(options);
   ScheduleReport report = explorer.Run();
   SCOPED_TRACE(report.Summary());
 
   EXPECT_EQ(report.schedules_run, options.schedules);
-  std::string details;
-  for (const ScheduleFailure& failure : report.failures) {
-    details +=
-        "\n  seed " + std::to_string(failure.seed) + ": " + failure.detail;
+  EXPECT_TRUE(report.ok()) << "diverging schedules:" << FailureDetails(report);
+
+  // Coverage floors of the whole 1000-seed sweep, scaled to this shard's
+  // share, for every axis, the deep audit and every pair of axes. A quick
+  // run below the full sweep is too short for the axis stripes to even out
+  // (a pair of them repeats only every 323 seeds), so it skips them.
+  if (total >= kSweepSeeds) {
+    auto floor = [&](int whole_sweep) {
+      return whole_sweep * options.schedules / kSweepSeeds;
+    };
+    EXPECT_GE(report.SchedulesWith(kAxisTpcc), floor(600));
+    EXPECT_GE(report.SchedulesWith(kAxisBatchedApply), floor(800));
+    EXPECT_GE(report.SchedulesWith(kAxisCrashRestart), floor(600));
+    EXPECT_GE(report.SchedulesWith(kAxisTraced), floor(200));
+    EXPECT_GE(report.SchedulesWith(kAxisOptLatch), floor(200));
+    EXPECT_GE(report.SchedulesWith(kAxisWire), floor(200));
+    EXPECT_GE(report.deep_audits, floor(150));
+    for (ScheduleAxis a : kAxes) {
+      for (ScheduleAxis b : kAxes) {
+        if (a < b) {
+          EXPECT_GE(report.SchedulesWith(a | b), floor(20))
+              << "axes " << a << " and " << b;
+        }
+      }
+    }
   }
-  EXPECT_TRUE(report.ok()) << "diverging schedules:" << details;
-  // The sweep must actually generate contention — a conflict-free sweep
-  // would pass vacuously no matter how broken Algorithm 1 were.
+
+  // Health floors: a conflict-free sweep would pass vacuously no matter how
+  // broken Algorithm 1 were, and the opt-latch hammers must actually race
+  // readers against writers.
   EXPECT_GT(report.conflicts + report.restarts, 0);
-}
-
-TEST(ScheduleExplorerTest, CrashRestartSweepFindsNoDivergence) {
-  ScheduleExplorerOptions options;
-  options.base_seed = 1;
-  options.schedules = SeedsFromEnv(200);
-  options.txns_per_schedule = 20;
-  options.audit_every = 0;  // The plain sweep above covers the deep audit.
-  options.crash_restart = true;
-  options.scratch_dir = ::testing::TempDir() + "txrep_crash_sweep";
-
-  ScheduleExplorer explorer(options);
-  ScheduleReport report = explorer.Run();
-  SCOPED_TRACE(report.Summary());
-
-  EXPECT_EQ(report.schedules_run, options.schedules);
-  std::string details;
-  for (const ScheduleFailure& failure : report.failures) {
-    details +=
-        "\n  seed " + std::to_string(failure.seed) + ": " + failure.detail;
+  if (report.SchedulesWith(kAxisOptLatch) > 0) {
+    EXPECT_GT(report.blink_read_events, 0);
   }
-  EXPECT_TRUE(report.ok()) << "diverging crash-restart schedules:" << details;
 }
 
-TEST(ScheduleExplorerTest, BatchedApplySweepFindsNoDivergence) {
-  // Batched-apply mode: the concurrent replica is a seed-derived KvCluster
-  // and the TM dispatches coalesced write sets in seed-derived chunks
-  // (adaptive on some seeds). Concurrent batched replay must still byte-
-  // equal op-at-a-time serial replay on every seed.
+INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleExplorerSweep,
+                         ::testing::Range(0, kSweepShards));
+
+TEST(ScheduleExplorerTest, SeedsReproduceAcrossEveryAxis) {
+  // RunOne(seed) is the debugging entry point for a sweep failure: it must
+  // reproduce, with no state leaking between runs, for seeds that together
+  // draw every axis — and every axis off. Seed 1 draws all six axes; seed 2
+  // all but TPC-C; seed 62 none.
   ScheduleExplorerOptions options;
-  options.base_seed = 1;
-  options.schedules = SeedsFromEnv(200);
-  options.txns_per_schedule = 30;
-  options.audit_every = 8;
-  options.batched_apply = true;
-
+  options.scratch_dir = ::testing::TempDir() + "txrep_reproduce";
   ScheduleExplorer explorer(options);
-  ScheduleReport report = explorer.Run();
-  SCOPED_TRACE(report.Summary());
-
-  EXPECT_EQ(report.schedules_run, options.schedules);
-  std::string details;
-  for (const ScheduleFailure& failure : report.failures) {
-    details +=
-        "\n  seed " + std::to_string(failure.seed) + ": " + failure.detail;
+  ScheduleReport coverage;
+  for (uint64_t seed : {1, 2, 62}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TXREP_EXPECT_OK(explorer.RunOne(seed));
+    TXREP_EXPECT_OK(explorer.RunOne(seed));
+    options.base_seed = seed;
+    options.schedules = 1;
+    const ScheduleReport one = ScheduleExplorer(options).Run();
+    EXPECT_TRUE(one.ok()) << FailureDetails(one);
+    for (size_t mask = 0; mask < one.schedules_by_axes.size(); ++mask) {
+      coverage.schedules_by_axes[mask] += one.schedules_by_axes[mask];
+    }
   }
-  EXPECT_TRUE(report.ok()) << "diverging batched schedules:" << details;
-  EXPECT_GT(report.conflicts + report.restarts, 0);
-}
-
-TEST(ScheduleExplorerTest, BatchedCrashRestartSweepFindsNoDivergence) {
-  // Crash + recovery with batching on both the crashing TM and the tail
-  // replay applier: recovery must land byte-identical regardless of how the
-  // write sets were chunked before and after the crash.
-  ScheduleExplorerOptions options;
-  options.base_seed = 1;
-  options.schedules = SeedsFromEnv(200);
-  options.txns_per_schedule = 20;
-  options.audit_every = 0;
-  options.crash_restart = true;
-  options.batched_apply = true;
-  options.scratch_dir = ::testing::TempDir() + "txrep_batched_crash_sweep";
-
-  ScheduleExplorer explorer(options);
-  ScheduleReport report = explorer.Run();
-  SCOPED_TRACE(report.Summary());
-
-  EXPECT_EQ(report.schedules_run, options.schedules);
-  std::string details;
-  for (const ScheduleFailure& failure : report.failures) {
-    details +=
-        "\n  seed " + std::to_string(failure.seed) + ": " + failure.detail;
+  for (ScheduleAxis axis : kAxes) {
+    EXPECT_GE(coverage.SchedulesWith(axis), 1) << "axis " << axis;
   }
-  EXPECT_TRUE(report.ok())
-      << "diverging batched crash-restart schedules:" << details;
-}
-
-TEST(ScheduleExplorerTest, TracedSweepStaysByteIdentical) {
-  // Acceptance bar for the tracing tentpole: turning the tracer on (with a
-  // seed-derived sampling period) must not perturb replication — concurrent
-  // replay still byte-equals serial replay on every seed. The explorer also
-  // fails any sampled schedule whose flight recorder stayed empty, so this
-  // cannot pass by tracing silently never engaging.
-  ScheduleExplorerOptions options;
-  options.base_seed = 1;
-  options.schedules = SeedsFromEnv(200);
-  options.txns_per_schedule = 30;
-  options.audit_every = 8;
-  options.traced = true;
-
-  ScheduleExplorer explorer(options);
-  ScheduleReport report = explorer.Run();
-  SCOPED_TRACE(report.Summary());
-
-  EXPECT_EQ(report.schedules_run, options.schedules);
-  std::string details;
-  for (const ScheduleFailure& failure : report.failures) {
-    details +=
-        "\n  seed " + std::to_string(failure.seed) + ": " + failure.detail;
-  }
-  EXPECT_TRUE(report.ok()) << "diverging traced schedules:" << details;
-  EXPECT_GT(report.conflicts + report.restarts, 0);
-}
-
-TEST(ScheduleExplorerTest, BatchedSeedIsReproducible) {
-  ScheduleExplorer explorer({.schedules = 0, .batched_apply = true});
-  TXREP_EXPECT_OK(explorer.RunOne(42));
-  TXREP_EXPECT_OK(explorer.RunOne(42));
+  EXPECT_EQ(coverage.schedules_by_axes[0], 1);  // Seed 62: no axis.
 }
 
 TEST(ScheduleExplorerTest, CrashRestartRequiresScratchDir) {
-  ScheduleExplorerOptions options;
-  options.schedules = 1;
-  options.crash_restart = true;  // But no scratch_dir.
-  ScheduleExplorer explorer(options);
-  EXPECT_TRUE(explorer.RunOne(1).IsInvalidArgument());
-}
-
-TEST(ScheduleExplorerTest, OptLatchSweepFindsNoDivergence) {
-  // Acceptance bar for the optimistic version-latch tentpole: with opt_latch
-  // mode on, (a) interleaved B-link index probes run full scans over their
-  // torn buffered views (byte-equivalence oracle unchanged — so optimistic
-  // reads may not perturb replay), and (b) each schedule's scratch-store
-  // hammer races readers against tree writers plus a BatchDispatcher. The
-  // blink_read_events counter must be nonzero — the protocol engaging is
-  // part of the contract, not a nice-to-have.
-  ScheduleExplorerOptions options;
-  options.base_seed = 1;
-  options.schedules = SeedsFromEnv(200);
-  options.txns_per_schedule = 30;
-  options.audit_every = 8;
-  options.batched_apply = true;
-  options.opt_latch = true;
-
-  ScheduleExplorer explorer(options);
-  ScheduleReport report = explorer.Run();
-  SCOPED_TRACE(report.Summary());
-
-  EXPECT_EQ(report.schedules_run, options.schedules);
-  std::string details;
-  for (const ScheduleFailure& failure : report.failures) {
-    details +=
-        "\n  seed " + std::to_string(failure.seed) + ": " + failure.detail;
-  }
-  EXPECT_TRUE(report.ok()) << "diverging opt-latch schedules:" << details;
-  EXPECT_GT(report.conflicts + report.restarts, 0);
-  EXPECT_GT(report.blink_read_events, 0);
-}
-
-TEST(ScheduleExplorerTest, SingleSeedIsReproducible) {
-  ScheduleExplorer explorer({.base_seed = 0, .schedules = 0});
-  TXREP_EXPECT_OK(explorer.RunOne(42));
-  TXREP_EXPECT_OK(explorer.RunOne(42));  // No state leaks between runs.
+  ScheduleExplorer explorer;                 // No scratch_dir.
+  const Status status = explorer.RunOne(1);     // Seed 1 draws crash-restart.
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  // The failure names the seed and its drawn axes.
+  EXPECT_NE(status.message().find("seed 1 ("), std::string::npos);
+  EXPECT_NE(status.message().find("crash"), std::string::npos);
 }
 
 TEST(ScheduleExplorerTest, SummaryMentionsAllCounters) {
   ScheduleReport report;
   report.schedules_run = 3;
   report.transactions_replayed = 90;
+  report.schedules_by_axes[kAxisTpcc | kAxisWire] = 2;
+  report.schedules_by_axes[kAxisWire] = 1;
   report.failures.push_back({7, "boom"});
   const std::string summary = report.Summary();
   EXPECT_NE(summary.find("schedules=3"), std::string::npos);
   EXPECT_NE(summary.find("txns=90"), std::string::npos);
+  EXPECT_NE(summary.find("tpcc=2"), std::string::npos);
+  EXPECT_NE(summary.find("wire=3"), std::string::npos);
   EXPECT_NE(summary.find("failures=1"), std::string::npos);
   EXPECT_FALSE(report.ok());
 }

@@ -1,7 +1,10 @@
 #include "core/transaction_manager.h"
 
+#include <atomic>
+
 #include "codec/kv_keys.h"
 #include "codec/row_codec.h"
+#include "common/clock.h"
 #include "gtest/gtest.h"
 #include "kv/inmemory_node.h"
 #include "test_util.h"
@@ -181,6 +184,51 @@ TEST_F(TmTest, RestartCountVisibleOnHandle) {
   // At least one of the chained updates must have restarted (they all race
   // on T_1 while the predecessor's buffer is unapplied).
   EXPECT_GE(h1->restarts() + h2->restarts(), 1);
+}
+
+/// Holds back every write batch touching `blocked_key` until Release().
+class BlockingStore : public kv::InMemoryKvNode {
+ public:
+  explicit BlockingStore(kv::Key blocked_key)
+      : blocked_key_(std::move(blocked_key)) {}
+
+  Status MultiWrite(std::span<const kv::KvWrite> batch,
+                    size_t* applied) override {
+    for (const kv::KvWrite& write : batch) {
+      if (write.key != blocked_key_) continue;
+      while (!released_.load()) SleepForMicros(100);
+    }
+    return kv::InMemoryKvNode::MultiWrite(batch, applied);
+  }
+
+  void Release() { released_.store(true); }
+
+ private:
+  const kv::Key blocked_key_;
+  std::atomic<bool> released_{false};
+};
+
+TEST_F(TmTest, LastAppliedLsnIsTheAppliedPrefix) {
+  // LSN 1's apply is held back while LSNs 2-3 complete: the applied prefix
+  // still ends at 0, not at the highest completed LSN.
+  BlockingStore store(codec::RowKey("T", Value::Int(1)));
+  TmOptions options;
+  options.top_threads = 4;
+  options.bottom_threads = 4;
+  TransactionManager tm(&store, translator_.get(), options);
+  std::vector<std::shared_ptr<Transaction>> handles;
+  for (int64_t lsn = 1; lsn <= 3; ++lsn) {
+    rel::LogTransaction txn = InsertTxn(lsn, lsn);
+    txn.lsn = static_cast<uint64_t>(lsn);
+    handles.push_back(tm.SubmitUpdate(std::move(txn)));
+  }
+  TXREP_EXPECT_OK(handles[1]->Wait());
+  TXREP_EXPECT_OK(handles[2]->Wait());
+  tm.SubmitReadOnly([](kv::KvStore*) { return Status::OK(); });
+  EXPECT_EQ(tm.last_applied_lsn(), 0u);
+  store.Release();
+  TXREP_ASSERT_OK(tm.WaitIdle());
+  EXPECT_EQ(tm.last_applied_lsn(), 3u);
 }
 
 }  // namespace

@@ -2,9 +2,8 @@
 
 #include "txrep/system.h"
 
-#include "common/clock.h"
-
 #include "gtest/gtest.h"
+#include "obs/names.h"
 #include "sql/interpreter.h"
 #include "test_util.h"
 #include "workload/synthetic.h"
@@ -125,19 +124,18 @@ TEST(TxRepSystemTest, SerialBaselineProducesSameReplica) {
 
 TEST(TxRepSystemTest, LagMeasurement) {
   TxRepOptions options;
-  options.measure_lag = true;
   options.broker.delivery_delay_micros = 1000;
   TxRepSystem sys(options);
   TXREP_ASSERT_OK(sql::ExecuteSql(sys.database(), kSchemaSql).status());
   TXREP_ASSERT_OK(sys.Start());
   PopulateItems(sys.database(), 10);
   TXREP_ASSERT_OK(sys.SyncToLatest());
-  // Lag recording is asynchronous; wait for all probes briefly.
-  for (int i = 0; i < 100 && sys.lag_histogram().count() < 10; ++i) {
-    txrep::SleepForMicros(5000);
-  }
-  EXPECT_EQ(sys.lag_histogram().count(), 10);
-  EXPECT_GE(sys.lag_histogram().min(), 1000);  // At least the broker delay.
+  // Commit -> replica-apply lag of every replicated transaction, recorded
+  // before the transaction completes (so SyncToLatest covers it).
+  const Histogram* lag = sys.metrics().GetHistogram(
+      obs::kStageLatency, {{"stage", obs::kStageE2e}});
+  EXPECT_EQ(lag->count(), 10);
+  EXPECT_GE(lag->min(), 1000);  // At least the broker delay.
 }
 
 TEST(TxRepSystemTest, StartTwiceFails) {
