@@ -1,6 +1,6 @@
 #include "core/transaction_manager.h"
 
-
+#include <algorithm>
 #include <cstdlib>
 #include <utility>
 
@@ -64,6 +64,8 @@ void TransactionManager::WireMetrics(obs::MetricsRegistry* metrics) {
       metrics->GetGauge(obs::kQueueDepth, {{"queue", obs::kQueueTmTop}});
   g_bottom_backlog_ =
       metrics->GetGauge(obs::kQueueDepth, {{"queue", obs::kQueueTmBottom}});
+  g_admission_backlog_ = metrics->GetGauge(
+      obs::kQueueDepth, {{"queue", obs::kQueueTmAdmission}});
 }
 
 TransactionManager::~TransactionManager() {
@@ -122,10 +124,28 @@ TransactionManager::TxnPtr TransactionManager::SubmitInternal(
     if (!read_only) last_submitted_lsn_ = lsn;
     c_submitted_->Increment();
     if (read_only) c_read_only_submitted_->Increment();
+    pending_.push_back(txn);
+    AdmitLocked();
   }
-  top_pool_->Submit([this, txn] { ExecuteTask(txn); });
-  g_top_backlog_->Set(static_cast<int64_t>(top_pool_->QueueDepth()));
   return txn;
+}
+
+void TransactionManager::AdmitLocked() {
+  // The head (expected_seq_) is always inside the window, so the controller
+  // never waits on a transaction that was not admitted. Restarted and parked
+  // transactions keep their sequence numbers and so stay inside it.
+  const uint64_t window_end = AdmissionWindowEndLocked();
+  while (!pending_.empty() && pending_.front()->seq() < window_end) {
+    TxnPtr txn = std::move(pending_.front());
+    pending_.pop_front();
+    top_pool_->Submit([this, txn] { ExecuteTask(txn); });
+  }
+  g_admission_backlog_->Set(static_cast<int64_t>(pending_.size()));
+  g_top_backlog_->Set(static_cast<int64_t>(top_pool_->QueueDepth()));
+}
+
+uint64_t TransactionManager::AdmissionWindowEndLocked() const {
+  return expected_seq_ + static_cast<uint64_t>(options_.top_threads);
 }
 
 void TransactionManager::ExecuteTask(const TxnPtr& txn) {
@@ -259,6 +279,7 @@ void TransactionManager::EvaluateLocked(const TxnPtr& txn) {
       txn->state = TxnState::kCompleted;
       txn->complete_time = clock_.Tick();
       expected_seq_ = txn->seq() + 1;
+      AdmitLocked();
       active_.erase(txn->seq());
       c_completed_->Increment();
       txn->Finish(txn->execution_status);
@@ -277,6 +298,7 @@ void TransactionManager::EvaluateLocked(const TxnPtr& txn) {
   txn->commit_time = clock_.Tick();
   committed_[txn->seq()] = txn;
   expected_seq_ = txn->seq() + 1;
+  AdmitLocked();
   c_committed_->Increment();
   const int64_t commit_wall = NowMicros();
   txn->commit_wall_micros = commit_wall;
@@ -379,23 +401,22 @@ void TransactionManager::ApplyTask(const TxnPtr& txn) {
 void TransactionManager::GcTask() {
   // Algorithm 2: remove every completed transaction no active transaction
   // could still conflict-test against (no active T_j started before its
-  // completion).
+  // completion). Some active T_j started before an entry's completion iff
+  // the oldest start stamp did, so one scan of active_ finds that stamp and
+  // one scan of completed_ erases every entry that completed no later.
   check::MutexLock lock(&mu_);
   c_gc_runs_->Increment();
+  uint64_t oldest_start = UINT64_MAX;
+  for (const auto& [seq, active] : active_) {
+    // start_time == 0 means "not yet started". Such a transaction will be
+    // stamped from the monotonic clock *after* every current completion
+    // stamp, so its line-16 test `start < complete` can never hold against
+    // any entry here — it pins nothing.
+    const uint64_t start = active->start_time;
+    if (start != 0) oldest_start = std::min(oldest_start, start);
+  }
   for (auto it = completed_.begin(); it != completed_.end();) {
-    bool needed = false;
-    for (const auto& [seq, active] : active_) {
-      // start_time == 0 means "not yet started". Such a transaction will be
-      // stamped from the monotonic clock *after* this entry's completion
-      // stamp, so its line-16 test `start < complete` can never hold against
-      // this entry — it does not need it.
-      const uint64_t start = active->start_time;
-      if (start != 0 && start < it->second->complete_time) {
-        needed = true;
-        break;
-      }
-    }
-    if (needed) {
+    if (oldest_start < it->second->complete_time) {
       ++it;
     } else {
       it = completed_.erase(it);
@@ -409,9 +430,13 @@ void TransactionManager::FailLocked(const Status& status) {
   last_submitted_lsn_ = AppliedPrefixLocked();
   health_ = status;
   TXREP_LOG(kError) << "transaction manager failed: " << status.ToString();
-  // Finish everything still in flight so waiters unblock.
+  // Finish everything still in flight so waiters unblock. Un-admitted
+  // transactions are in active_ too, so clearing pending_ leaves no handle
+  // unfinished.
   for (auto& [seq, txn] : active_) txn->Finish(status);
   active_.clear();
+  pending_.clear();
+  g_admission_backlog_->Set(0);
   cv_.NotifyAll();
 }
 
@@ -569,6 +594,31 @@ Status TransactionManager::CheckInvariantsLocked() const {
     }
     Status order = check_commit_order(seq, txn);
     if (!order.ok()) return order;
+  }
+  // The admission window: pending_ holds the contiguous run of sequence
+  // numbers past the window's end, none of them started yet.
+  const uint64_t window_end = AdmissionWindowEndLocked();
+  if (!pending_.empty() && pending_.front()->seq() < window_end) {
+    return violation("pending txn " + std::to_string(pending_.front()->seq()) +
+                     " inside the admission window (ends at " +
+                     std::to_string(window_end) + ")");
+  }
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    const TxnPtr& txn = pending_[i];
+    const uint64_t seq = txn->seq();
+    if (i > 0 && seq != pending_[i - 1]->seq() + 1) {
+      return violation("pending txn " + std::to_string(seq) +
+                       " does not follow pending txn " +
+                       std::to_string(pending_[i - 1]->seq()));
+    }
+    if (active_.find(seq) == active_.end()) {
+      return violation("pending txn " + std::to_string(seq) +
+                       " not tracked as active");
+    }
+    if (txn->start_time != 0) {
+      return violation("pending txn " + std::to_string(seq) +
+                       " started before admission");
+    }
   }
   // completed_ and committed_ are disjoint seq ranges? Not necessarily
   // contiguous (GC trims the middle), but commit order must continue to hold

@@ -2,6 +2,7 @@
 #define TXREP_CORE_TRANSACTION_MANAGER_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -30,7 +31,9 @@ namespace txrep::core {
 /// Tuning knobs of the Transaction Manager.
 struct TmOptions {
   /// Threads converting transactions into buffered KV operations (the "top
-  /// threadpool" of paper Fig. 8). Paper default: 20.
+  /// threadpool" of paper Fig. 8). Paper default: 20. Also the admission
+  /// window: only this many sequence numbers from the commit head on are
+  /// handed to the pool at a time.
   int top_threads = 20;
 
   /// Threads applying committed buffers to the key-value store (the "bottom
@@ -92,12 +95,15 @@ struct TmStats {
 /// lets read-only transactions interleave at chosen sequence positions.
 ///
 /// Pipeline:
-///   Submit*() assigns the next sequence number and hands the transaction to
-///   the *top pool*, which executes its body against a fresh TxnBuffer
-///   (reads hit the store and are recorded; writes stay buffered). The
-///   finished transaction enters the CommitReqPQ. A dedicated *controller
-///   thread* evaluates transactions strictly in sequence order
-///   (Algorithm 1):
+///   Submit*() assigns the next sequence number and queues the transaction
+///   for admission. Only sequence numbers below the commit head plus
+///   `top_threads` are admitted to the *top pool*; the rest wait, unstarted,
+///   until commits move the head (work executed further ahead would only
+///   read state its predecessors are about to overwrite and restart). The
+///   top pool executes the body against a fresh TxnBuffer (reads hit the
+///   store and are recorded; writes stay buffered). The finished
+///   transaction enters the CommitReqPQ. A dedicated *controller thread*
+///   evaluates transactions strictly in sequence order (Algorithm 1):
 ///     - conflict with a COMMITTED predecessor  -> park on its restart list
 ///       (the controller stalls: the expected sequence does not advance);
 ///     - conflict with a COMPLETED predecessor that completed after this
@@ -106,7 +112,8 @@ struct TmStats {
 ///       to the *bottom pool*, which applies it to the store, marks the
 ///       transaction COMPLETED and restarts everything parked on it.
 ///   An asynchronous pass (Algorithm 2) trims the completed list once it
-///   exceeds `completed_gc_threshold`.
+///   exceeds `completed_gc_threshold`: it drops every entry that completed
+///   no later than the oldest start stamp among the active transactions.
 ///
 /// Conflict predicate (paper §5): two transactions conflict iff their
 /// read/write key sets intersect as R/W, W/R or W/W — key sets include every
@@ -181,8 +188,10 @@ class TransactionManager {
 
   /// Audits the Algorithm 1 bookkeeping invariants (DESIGN.md §8): state/set
   /// agreement (committed ⊆ active, completed ∩ active = ∅), sequence bounds
-  /// against expected_seq_, and commit-stamp monotonicity in sequence order —
-  /// the in-flight face of the execution-defined-order guarantee. Returns the
+  /// against expected_seq_, commit-stamp monotonicity in sequence order —
+  /// the in-flight face of the execution-defined-order guarantee — and the
+  /// admission window (pending transactions are contiguous, unstarted,
+  /// tracked as active and all past the window's end). Returns the
   /// first violation found. TXREP_DEBUG_CHECKS builds run this automatically
   /// at every commit evaluation / completion and abort on violation.
   Status CheckInvariants() const;
@@ -220,6 +229,14 @@ class TransactionManager {
 
   /// Schedules a fresh execution of `txn`.
   void RestartLocked(const TxnPtr& txn) TXREP_REQUIRES(mu_);
+
+  /// Hands pending_'s front to the top pool while its sequence number lies
+  /// inside the window [expected_seq_, expected_seq_ + top_threads). Called
+  /// on submission and wherever expected_seq_ advances.
+  void AdmitLocked() TXREP_REQUIRES(mu_);
+
+  /// First sequence number past the admission window.
+  uint64_t AdmissionWindowEndLocked() const TXREP_REQUIRES(mu_);
 
   /// CheckInvariants() body.
   Status CheckInvariantsLocked() const TXREP_REQUIRES(mu_);
@@ -301,6 +318,8 @@ class TransactionManager {
   obs::Gauge* g_top_backlog_ = nullptr;
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   obs::Gauge* g_bottom_backlog_ = nullptr;
+  // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
+  obs::Gauge* g_admission_backlog_ = nullptr;
 
   /// Bottom-pool write-set dispatcher (created after WireMetrics so it can
   /// resolve its instruments from the same registry).
@@ -328,6 +347,9 @@ class TransactionManager {
   std::map<uint64_t, TxnPtr> completed_ TXREP_GUARDED_BY(mu_);
   /// Submitted, not yet completed.
   std::map<uint64_t, TxnPtr> active_ TXREP_GUARDED_BY(mu_);
+  /// Submitted but not yet admitted to the top pool (ascending, contiguous
+  /// sequence numbers, all at or past the admission window's end).
+  std::deque<TxnPtr> pending_ TXREP_GUARDED_BY(mu_);
   bool gc_scheduled_ TXREP_GUARDED_BY(mu_) = false;
   bool stopping_ TXREP_GUARDED_BY(mu_) = false;
   /// A quiescent barrier is draining: Submit* parks until it clears.

@@ -55,6 +55,9 @@ inline constexpr char kQueueCommitReqPq[] = "commit_req_pq";
 inline constexpr char kQueueBroker[] = "broker";
 inline constexpr char kQueueTmTop[] = "tm_top_pool";
 inline constexpr char kQueueTmBottom[] = "tm_bottom_pool";
+/// Submitted transactions waiting for the TM's admission window (sequence
+/// numbers at or past the commit head plus top_threads).
+inline constexpr char kQueueTmAdmission[] = "tm_admission";
 
 // --- transaction manager ----------------------------------------------------
 inline constexpr char kTmSubmitted[] = "txrep_tm_submitted_total";

@@ -2,6 +2,10 @@
 
 #include "core/transaction_manager.h"
 
+#include <atomic>
+
+#include "codec/kv_keys.h"
+#include "common/clock.h"
 #include "gtest/gtest.h"
 #include "kv/inmemory_node.h"
 #include "qt/query_translator.h"
@@ -96,6 +100,52 @@ TEST_F(GcTest, AggressiveGcPreservesCorrectness) {
                                             options, &stats));
   EXPECT_GT(stats.gc_runs, 0);
   testing::ExpectDumpsEqual(serial_store, concurrent_store);
+}
+
+TEST_F(GcTest, OnlyStartedTransactionsPinLaterCompletions) {
+  // Completed: seqs 1 and 2 before R started, seq 3 after. Active during
+  // the pass: R (seq 4, started, its body held) and U (seq 5, never
+  // started: it waits outside the one-thread admission window). The pass
+  // must keep exactly seq 3 — pinned by R's start stamp — and drop 1 and
+  // 2, which U, not yet started, cannot need.
+  testing::BlockingStore store(codec::RowKey("T", Value::Int(3)));
+  TmOptions options;
+  options.top_threads = 1;
+  options.bottom_threads = 2;
+  options.completed_gc_threshold = 2;
+  TransactionManager tm(&store, translator_.get(), options);
+  TXREP_ASSERT_OK(tm.SubmitUpdate(Insert(1))->Wait());
+  TXREP_ASSERT_OK(tm.SubmitUpdate(Insert(2))->Wait());
+  auto third = tm.SubmitUpdate(Insert(3));  // Commits; its apply is held.
+
+  std::atomic<bool> reader_started{false};
+  std::atomic<bool> reader_release{false};
+  auto reader = tm.SubmitReadOnly([&](kv::KvStore*) {
+    reader_started.store(true);
+    while (!reader_release.load()) SleepForMicros(100);
+    return Status::OK();
+  });
+  const int64_t deadline = NowMicros() + 10'000'000;
+  while (!reader_started.load() && NowMicros() < deadline) {
+    SleepForMicros(100);
+  }
+  ASSERT_TRUE(reader_started.load());
+  auto unstarted = tm.SubmitUpdate(Insert(5));
+  EXPECT_EQ(tm.stats().gc_runs, 0);
+
+  store.Release();  // Seq 3 completes after R's start: 3 > threshold 2.
+  TXREP_ASSERT_OK(third->Wait());
+  while (tm.stats().gc_runs < 1 && NowMicros() < deadline) {
+    SleepForMicros(100);
+  }
+  ASSERT_EQ(tm.stats().gc_runs, 1);
+  EXPECT_EQ(tm.CompletedListSize(), 1u);
+  EXPECT_EQ(tm.stats().gc_removed, 2);
+
+  reader_release.store(true);
+  TXREP_ASSERT_OK(reader->Wait());
+  TXREP_ASSERT_OK(unstarted->Wait());
+  TXREP_ASSERT_OK(tm.WaitIdle());
 }
 
 }  // namespace

@@ -1,12 +1,17 @@
 #include "core/transaction_manager.h"
 
 #include <atomic>
+#include <mutex>
+#include <set>
+#include <thread>
 
 #include "codec/kv_keys.h"
 #include "codec/row_codec.h"
 #include "common/clock.h"
 #include "gtest/gtest.h"
 #include "kv/inmemory_node.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "test_util.h"
 
 namespace txrep::core {
@@ -186,32 +191,10 @@ TEST_F(TmTest, RestartCountVisibleOnHandle) {
   EXPECT_GE(h1->restarts() + h2->restarts(), 1);
 }
 
-/// Holds back every write batch touching `blocked_key` until Release().
-class BlockingStore : public kv::InMemoryKvNode {
- public:
-  explicit BlockingStore(kv::Key blocked_key)
-      : blocked_key_(std::move(blocked_key)) {}
-
-  Status MultiWrite(std::span<const kv::KvWrite> batch,
-                    size_t* applied) override {
-    for (const kv::KvWrite& write : batch) {
-      if (write.key != blocked_key_) continue;
-      while (!released_.load()) SleepForMicros(100);
-    }
-    return kv::InMemoryKvNode::MultiWrite(batch, applied);
-  }
-
-  void Release() { released_.store(true); }
-
- private:
-  const kv::Key blocked_key_;
-  std::atomic<bool> released_{false};
-};
-
 TEST_F(TmTest, LastAppliedLsnIsTheAppliedPrefix) {
   // LSN 1's apply is held back while LSNs 2-3 complete: the applied prefix
   // still ends at 0, not at the highest completed LSN.
-  BlockingStore store(codec::RowKey("T", Value::Int(1)));
+  testing::BlockingStore store(codec::RowKey("T", Value::Int(1)));
   TmOptions options;
   options.top_threads = 4;
   options.bottom_threads = 4;
@@ -229,6 +212,174 @@ TEST_F(TmTest, LastAppliedLsnIsTheAppliedPrefix) {
   store.Release();
   TXREP_ASSERT_OK(tm.WaitIdle());
   EXPECT_EQ(tm.last_applied_lsn(), 3u);
+}
+
+/// While closed, holds back every read of `gated_key` until Open(), and
+/// records the ids of the table-T rows read (one per update body started).
+class GatedReadStore : public kv::InMemoryKvNode {
+ public:
+  explicit GatedReadStore(kv::Key gated_key) : gated_key_(std::move(gated_key)) {}
+
+  Result<kv::Value> Get(const kv::Key& key) override {
+    if (closed_.load()) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        read_keys_.insert(key);
+      }
+      while (key == gated_key_ && closed_.load()) SleepForMicros(100);
+    }
+    return kv::InMemoryKvNode::Get(key);
+  }
+
+  void Close() { closed_.store(true); }
+  void Open() { closed_.store(false); }
+
+  /// Ids in [1, max_id] whose row key was read while the gate was closed.
+  std::set<int64_t> RowsRead(int64_t max_id) {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::set<int64_t> ids;
+    for (int64_t id = 1; id <= max_id; ++id) {
+      if (read_keys_.contains(codec::RowKey("T", Value::Int(id)))) {
+        ids.insert(id);
+      }
+    }
+    return ids;
+  }
+
+ private:
+  const kv::Key gated_key_;
+  std::atomic<bool> closed_{false};
+  std::mutex mu_;
+  std::set<kv::Key> read_keys_;
+};
+
+class TmWindowTest : public TmTest {
+ protected:
+  /// Inserts rows 1..n (value 0) into `store` directly.
+  void Populate(kv::KvStore* store, int64_t n) {
+    for (int64_t id = 1; id <= n; ++id) {
+      TXREP_ASSERT_OK(translator_->ApplyTransaction(store, InsertTxn(id, 0)));
+    }
+  }
+
+  int64_t AdmissionBacklog() {
+    return metrics_
+        .GetGauge(obs::kQueueDepth, {{"queue", obs::kQueueTmAdmission}})
+        ->Value();
+  }
+
+  obs::MetricsRegistry metrics_;
+};
+
+TEST_F(TmWindowTest, TopPoolRunsAtMostTopThreadsPastTheHead) {
+  // The head's body blocks on its row read. Only sequence numbers inside
+  // [head, head + top_threads) may execute meanwhile; everything after
+  // waits unstarted. Every update also touches one of three hot rows, so
+  // the replay after the gate opens restarts on conflicts.
+  constexpr int kTopThreads = 4;
+  constexpr int64_t kTxns = 10 * kTopThreads;
+  constexpr int64_t kHotBase = 100;
+  GatedReadStore store(codec::RowKey("T", Value::Int(1)));
+  kv::InMemoryKvNode serial;
+  Populate(&store, kHotBase + 3);
+  Populate(&serial, kHotBase + 3);
+  std::vector<rel::LogTransaction> log;
+  for (int64_t id = 1; id <= kTxns; ++id) {
+    rel::LogTransaction txn = UpdateTxn(id, id);
+    txn.ops.push_back(UpdateTxn(kHotBase + id % 3, id).ops[0]);
+    log.push_back(std::move(txn));
+  }
+  TmOptions options;
+  options.top_threads = kTopThreads;
+  options.bottom_threads = 4;
+  TransactionManager tm(&store, translator_.get(), options, &metrics_);
+  store.Close();
+  for (const rel::LogTransaction& txn : log) tm.SubmitUpdate(txn);
+
+  const int64_t deadline = NowMicros() + 10'000'000;
+  while (store.RowsRead(kTxns).size() < static_cast<size_t>(kTopThreads) &&
+         NowMicros() < deadline) {
+    SleepForMicros(200);
+  }
+  SleepForMicros(50'000);  // Room for any run-ahead to show.
+  EXPECT_EQ(store.RowsRead(kTxns), (std::set<int64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(AdmissionBacklog(), kTxns - kTopThreads);
+  TXREP_EXPECT_OK(tm.CheckInvariants());
+
+  store.Open();
+  TXREP_ASSERT_OK(tm.WaitIdle());
+  EXPECT_EQ(AdmissionBacklog(), 0);
+  for (const rel::LogTransaction& txn : log) {
+    TXREP_ASSERT_OK(translator_->ApplyTransaction(&serial, txn));
+  }
+  testing::ExpectDumpsEqual(serial, store);
+}
+
+TEST_F(TmWindowTest, FailureFinishesUnadmittedTransactions) {
+  // LSN 2 updates a row that does not exist — a fatal replay error — and
+  // its read is held until LSNs 3..20 are submitted, most of them still
+  // waiting for admission when the TM fails.
+  GatedReadStore store(codec::RowKey("T", Value::Int(42)));
+  TmOptions options;
+  options.top_threads = 2;
+  options.bottom_threads = 2;
+  TransactionManager tm(&store, translator_.get(), options, &metrics_);
+  rel::LogTransaction first = InsertTxn(1, 1);
+  first.lsn = 1;
+  TXREP_ASSERT_OK(tm.SubmitUpdate(std::move(first))->Wait());
+
+  store.Close();
+  std::vector<std::shared_ptr<Transaction>> handles;
+  rel::LogTransaction bad = UpdateTxn(42, 1);
+  bad.lsn = 2;
+  handles.push_back(tm.SubmitUpdate(std::move(bad)));
+  for (int64_t lsn = 3; lsn <= 20; ++lsn) {
+    rel::LogTransaction txn = InsertTxn(lsn, lsn);
+    txn.lsn = static_cast<uint64_t>(lsn);
+    handles.push_back(tm.SubmitUpdate(std::move(txn)));
+  }
+  EXPECT_EQ(AdmissionBacklog(), 17);  // LSNs 4..20; 2 and 3 are admitted.
+  store.Open();
+
+  const Status failure = tm.WaitIdle();
+  ASSERT_FALSE(failure.ok());
+  EXPECT_EQ(failure.ToString(), tm.health().ToString());
+  for (const auto& handle : handles) {
+    EXPECT_EQ(handle->Wait().ToString(), failure.ToString())
+        << "seq " << handle->seq();
+  }
+  EXPECT_EQ(tm.last_applied_lsn(), 1u);
+  EXPECT_EQ(AdmissionBacklog(), 0);
+}
+
+TEST_F(TmWindowTest, QuiesceBarrierDrainsUnadmittedTransactions) {
+  GatedReadStore store(codec::RowKey("T", Value::Int(1)));
+  Populate(&store, 10);
+  TmOptions options;
+  options.top_threads = 1;
+  options.bottom_threads = 2;
+  TransactionManager tm(&store, translator_.get(), options, &metrics_);
+  store.Close();
+  for (int64_t id = 1; id <= 10; ++id) tm.SubmitUpdate(UpdateTxn(id, id));
+  EXPECT_EQ(AdmissionBacklog(), 9);
+
+  std::thread opener([&store] {
+    SleepForMicros(50'000);
+    store.Open();
+  });
+  bool all_applied = false;
+  TXREP_EXPECT_OK(tm.QuiesceBarrier([&] {
+    all_applied = true;
+    for (int64_t id = 1; id <= 10; ++id) {
+      all_applied = all_applied && ReadV(store, id) == id;
+    }
+    return Status::OK();
+  }));
+  opener.join();
+  EXPECT_TRUE(all_applied);
+  EXPECT_EQ(AdmissionBacklog(), 0);
+  TXREP_EXPECT_OK(tm.SubmitUpdate(UpdateTxn(1, 11))->Wait());
+  EXPECT_EQ(ReadV(store, 1), 11);
 }
 
 }  // namespace

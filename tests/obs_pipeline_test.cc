@@ -109,7 +109,7 @@ TEST(ObsPipelineTest, ConcurrentPipelineRecordsEveryStage) {
   // drain they must read as empty or better-than-empty never negative.
   for (const char* queue :
        {obs::kQueueCommitReqPq, obs::kQueueBroker, obs::kQueueTmTop,
-        obs::kQueueTmBottom}) {
+        obs::kQueueTmBottom, obs::kQueueTmAdmission}) {
     const MetricPoint* g =
         FindGauge(snapshot, obs::kQueueDepth, {{"queue", queue}});
     ASSERT_NE(g, nullptr) << "queue " << queue;

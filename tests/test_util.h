@@ -1,10 +1,14 @@
 #ifndef TXREP_TESTS_TEST_UTIL_H_
 #define TXREP_TESTS_TEST_UTIL_H_
 
+#include <atomic>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "core/transaction_manager.h"
+#include "kv/inmemory_node.h"
 #include "kv/kv_store.h"
 #include "qt/query_translator.h"
 #include "rel/database.h"
@@ -51,6 +55,29 @@ void ExpectDumpsEqual(kv::KvStore& a, kv::KvStore& b);
 /// validation.
 void VerifyReplicaMatchesDatabase(kv::KvStore& store, rel::Database& db,
                                   const qt::QueryTranslator& translator);
+
+/// In-memory node that holds back every write batch touching `blocked_key`
+/// until Release().
+class BlockingStore : public kv::InMemoryKvNode {
+ public:
+  explicit BlockingStore(kv::Key blocked_key)
+      : blocked_key_(std::move(blocked_key)) {}
+
+  Status MultiWrite(std::span<const kv::KvWrite> batch,
+                    size_t* applied) override {
+    for (const kv::KvWrite& write : batch) {
+      if (write.key != blocked_key_) continue;
+      while (!released_.load()) SleepForMicros(100);
+    }
+    return kv::InMemoryKvNode::MultiWrite(batch, applied);
+  }
+
+  void Release() { released_.store(true); }
+
+ private:
+  const kv::Key blocked_key_;
+  std::atomic<bool> released_{false};
+};
 
 }  // namespace txrep::testing
 
