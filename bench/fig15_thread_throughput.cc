@@ -2,8 +2,9 @@
 // pool) on throughput, with the serial baseline for reference.
 //
 // Expected shape: throughput rises with threads but saturates around 10–15 —
-// the serial conflict evaluation in the controller (and the cluster's
-// aggregate service slots) caps the gain, exactly the paper's observation.
+// conflict evaluation, serialised in sequence order under the TM mutex (and
+// the cluster's aggregate service slots) caps the gain, exactly the paper's
+// observation.
 
 #include <benchmark/benchmark.h>
 

@@ -8,7 +8,8 @@
 #   scripts/ci.sh --matrix   # every flavor below; fails on the first red
 #
 # Matrix flavors (DESIGN.md §8):
-#   release      plain build, full test suite (the tier-1 gate)
+#   release      plain build with warnings as errors, full test suite
+#                (the tier-1 gate)
 #   tsan         ThreadSanitizer over the concurrency-heavy tests
 #   asan-ubsan   AddressSanitizer + UBSanitizer over the same set
 #   debug-checks -DTXREP_DEBUG_CHECKS=ON: runtime lock-order registry +
@@ -66,8 +67,10 @@ print_summary() {
 }
 
 run_plain() {
-  echo "=== release: plain build + full test suite ==="
-  cmake -B build -S . >/dev/null
+  echo "=== release: plain build (-Werror) + full test suite ==="
+  # The release build is warning-clean; keep it that way (CMake >= 3.24
+  # honours the variable).
+  cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
   cmake --build build -j"$(nproc)"
   (cd build && ctest --output-on-failure -j"$(nproc)")
   note release PASS

@@ -25,14 +25,4 @@ std::string BlinkMetaKey(std::string_view table, std::string_view column) {
          KeyEscapeIdentifier(column);
 }
 
-std::string_view TableComponentOfKey(std::string_view key) {
-  if (key.rfind("!bmeta_", 0) == 0) {
-    key.remove_prefix(7);
-  } else if (key.rfind("!b_", 0) == 0) {
-    key.remove_prefix(3);
-  }
-  const size_t pos = key.find('_');
-  return pos == std::string_view::npos ? key : key.substr(0, pos);
-}
-
 }  // namespace txrep::codec

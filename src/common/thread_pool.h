@@ -36,8 +36,8 @@ class ThreadPool {
 
   /// Enqueues a task ahead of everything already queued (LIFO at the front).
   /// Use for work the rest of the system is blocked on — e.g. the TM's
-  /// restarted transactions, which carry the expected sequence number the
-  /// controller is stalled at.
+  /// restarted transactions, which carry the expected sequence number commit
+  /// evaluation is stalled at.
   bool SubmitUrgent(std::function<void()> task);
 
   /// Blocks until every submitted task (including tasks submitted by running

@@ -28,7 +28,7 @@ struct TicketApplierOptions {
   /// Write-set coalescing (see BatchDispatchOptions): each transaction
   /// executes into a private TxnBuffer under its table locks and the
   /// coalesced write set ships as MultiWrite chunks.
-  BatchDispatchOptions dispatch;
+  BatchDispatchOptions dispatch = {};
 };
 
 /// Counters exposed by the ticket applier.

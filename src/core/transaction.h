@@ -10,7 +10,6 @@
 #include "check/mutex.h"
 
 #include "common/status.h"
-#include "core/class_signature.h"
 #include "core/txn_buffer.h"
 #include "kv/kv_store.h"
 #include "trace/context.h"
@@ -29,9 +28,9 @@ const char* TxnStateName(TxnState state);
 
 /// One replica-side transaction flowing through the Transaction Manager:
 /// either an update transaction shipped from the database log or an
-/// interleaved read-only transaction. Shared between the thread pools and the
-/// concurrency controller via shared_ptr; all mutable fields below are
-/// protected by the TransactionManager's controller mutex unless noted.
+/// interleaved read-only transaction. Shared between the TM's thread pools via
+/// shared_ptr; all mutable fields below are protected by the
+/// TransactionManager's mutex unless noted.
 class Transaction {
  public:
   /// The transaction body executes against a buffered KvStore view; for
@@ -68,8 +67,8 @@ class Transaction {
   // analyze: lock-free(owned by one pipeline stage at a time; queue handoff orders access)
   TxnState state = TxnState::kActive;
   /// Logical stamp at (re-)execution start. Atomic because the executing
-  /// thread stamps it lock-free while the GC pass reads it under the
-  /// controller mutex.
+  /// thread stamps it lock-free while the GC pass reads it under the TM
+  /// mutex.
   std::atomic<uint64_t> start_time{0};
   // analyze: lock-free(written at commit eval, read downstream; staged handoff orders access)
   uint64_t commit_time = 0;    // Logical stamp at commit.
@@ -79,10 +78,6 @@ class Transaction {
   Status execution_status;     // Outcome of the last body run.
   // analyze: lock-free(built during execute; read-only once the txn is queued)
   std::unique_ptr<TxnBuffer> buffer;  // Rebuilt on every (re-)execution.
-  /// Table-class Bloom signature of the last execution's key sets (paper §7
-  /// transaction-classes optimization; see ClassSignature).
-  // analyze: lock-free(built during execute; read-only once the txn is queued)
-  ClassSignature class_signature;
   /// Transactions parked on this one: restarted when it completes
   /// (Algorithm 1 line 11 / 25).
   // analyze: lock-free(guarded by the manager's commit-eval serialization, not a member mutex)

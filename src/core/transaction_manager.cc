@@ -33,8 +33,6 @@ TransactionManager::TransactionManager(kv::KvStore* store,
       static_cast<size_t>(options_.top_threads), "tm-top");
   bottom_pool_ = std::make_unique<ThreadPool>(
       static_cast<size_t>(options_.bottom_threads), "tm-bottom");
-  gc_pool_ = std::make_unique<ThreadPool>(1, "tm-gc");
-  controller_ = std::thread([this] { ControllerLoop(); });
 }
 
 void TransactionManager::WireMetrics(obs::MetricsRegistry* metrics) {
@@ -48,7 +46,6 @@ void TransactionManager::WireMetrics(obs::MetricsRegistry* metrics) {
   c_gc_runs_ = metrics->GetCounter(obs::kTmGcRuns);
   c_gc_removed_ = metrics->GetCounter(obs::kTmGcRemoved);
   c_conflict_checks_ = metrics->GetCounter(obs::kTmConflictChecks);
-  c_class_filter_skips_ = metrics->GetCounter(obs::kTmClassFilterSkips);
   h_stage_execute_ = metrics->GetHistogram(obs::kStageLatency,
                                            {{"stage", obs::kStageExecute}});
   h_stage_commit_eval_ = metrics->GetHistogram(
@@ -71,15 +68,8 @@ void TransactionManager::WireMetrics(obs::MetricsRegistry* metrics) {
 TransactionManager::~TransactionManager() {
   // analyze: discard(destructor drain; nothing to return a timeout to)
   (void)WaitIdle();
-  {
-    check::MutexLock lock(&mu_);
-    stopping_ = true;
-    cv_.NotifyAll();
-  }
-  controller_.join();
   top_pool_->Shutdown();
   bottom_pool_->Shutdown();
-  gc_pool_->Shutdown();
 }
 
 std::shared_ptr<Transaction> TransactionManager::SubmitUpdate(
@@ -131,7 +121,7 @@ TransactionManager::TxnPtr TransactionManager::SubmitInternal(
 }
 
 void TransactionManager::AdmitLocked() {
-  // The head (expected_seq_) is always inside the window, so the controller
+  // The head (expected_seq_) is always inside the window, so evaluation
   // never waits on a transaction that was not admitted. Restarted and parked
   // transactions keep their sequence numbers and so stay inside it.
   const uint64_t window_end = AdmissionWindowEndLocked();
@@ -165,36 +155,21 @@ void TransactionManager::ExecuteTask(const TxnPtr& txn) {
       std::make_unique<TxnBuffer>(store_, options_.buffer_read_cache);
   Status status = txn->body()(buffer.get());
   h_stage_execute_->Record(NowMicros() - exec_start);
-  // Derive the transaction-class signature from the key sets (paper §7).
-  ClassSignature signature;
-  signature.AddKeys(buffer->read_set());
-  signature.AddKeys(buffer->write_set());
-  {
-    check::MutexLock lock(&mu_);
-    txn->buffer = std::move(buffer);
-    txn->execution_status = std::move(status);
-    txn->class_signature = signature;
-    txn->enqueue_micros = NowMicros();
-    commit_req_pq_.push(txn);
-    g_pq_depth_->Set(static_cast<int64_t>(commit_req_pq_.size()));
-    cv_.NotifyAll();
-  }
-}
-
-void TransactionManager::ControllerLoop() {
   check::MutexLock lock(&mu_);
-  for (;;) {
-    while (!(stopping_ || !health_.ok() ||
-             (!commit_req_pq_.empty() &&
-              commit_req_pq_.top()->seq() == expected_seq_))) {
-      cv_.Wait();
-    }
-    if (stopping_ || !health_.ok()) return;
-    TxnPtr txn = commit_req_pq_.top();
+  txn->buffer = std::move(buffer);
+  txn->execution_status = std::move(status);
+  txn->enqueue_micros = NowMicros();
+  commit_req_pq_.push(txn);
+  // Only a finished (re-)execution can ready the head, so this thread runs
+  // Algorithm 1 here. A commit (or a failed read-only slot) advances the
+  // head, which may ready successors already waiting in the PQ.
+  while (health_.ok() && !commit_req_pq_.empty() &&
+         commit_req_pq_.top()->seq() == expected_seq_) {
+    TxnPtr head = commit_req_pq_.top();
     commit_req_pq_.pop();
-    g_pq_depth_->Set(static_cast<int64_t>(commit_req_pq_.size()));
-    EvaluateLocked(txn);
+    EvaluateLocked(head);
   }
+  g_pq_depth_->Set(static_cast<int64_t>(commit_req_pq_.size()));
 }
 
 bool TransactionManager::Conflicts(const Transaction& a, const Transaction& b) {
@@ -217,17 +192,6 @@ bool TransactionManager::Conflicts(const Transaction& a, const Transaction& b) {
          intersects(a_writes, b_reads);
 }
 
-bool TransactionManager::ConflictsFiltered(const Transaction& a,
-                                           const Transaction& b) {
-  if (options_.enable_class_filter &&
-      !a.class_signature.MayOverlap(b.class_signature)) {
-    c_class_filter_skips_->Increment();
-    return false;  // Disjoint table classes: provably conflict-free.
-  }
-  c_conflict_checks_->Increment();
-  return Conflicts(a, b);
-}
-
 void TransactionManager::RestartLocked(const TxnPtr& txn) {
   c_restarts_->Increment();
   ++txn->restart_count;
@@ -240,9 +204,10 @@ void TransactionManager::EvaluateLocked(const TxnPtr& txn) {
   // Lines 9-14: conflicts with committed (not yet applied) predecessors.
   // Their writes are invisible, so this transaction may have read stale
   // data; park it until the first conflicting predecessor completes. The
-  // expected sequence stays put — the controller stalls, as in the paper.
+  // expected sequence stays put — evaluation stalls, as in the paper.
   for (auto& [seq, tj] : committed_) {
-    if (ConflictsFiltered(*txn, *tj)) {
+    c_conflict_checks_->Increment();
+    if (Conflicts(*txn, *tj)) {
       c_conflicts_->Increment();
       c_restarts_->Increment();
       ++txn->restart_count;
@@ -253,7 +218,9 @@ void TransactionManager::EvaluateLocked(const TxnPtr& txn) {
   // Lines 15-22: conflicts with completed predecessors that completed after
   // this transaction started (concurrent ones). Restart immediately.
   for (auto& [seq, tj] : completed_) {
-    if (txn->start_time < tj->complete_time && ConflictsFiltered(*txn, *tj)) {
+    if (txn->start_time >= tj->complete_time) continue;
+    c_conflict_checks_->Increment();
+    if (Conflicts(*txn, *tj)) {
       c_conflicts_->Increment();
       RestartLocked(txn);
       return;
@@ -307,7 +274,7 @@ void TransactionManager::EvaluateLocked(const TxnPtr& txn) {
   }
   if (tracer_ != nullptr && txn->trace.sampled) {
     // Sink hand-off -> commit decision; the wait in the CommitReqPQ for the
-    // controller is the queue share, (re-)execution the service share.
+    // head to reach it is the queue share, (re-)execution the service share.
     tracer_->RecordSpan(txn->trace, txn->lsn, trace::SpanStage::kCommitEval,
                         txn->submit_micros, commit_wall,
                         txn->enqueue_micros != 0
@@ -357,7 +324,6 @@ void TransactionManager::ApplyTask(const TxnPtr& txn) {
   }
 
   std::vector<TxnPtr> to_restart;
-  bool run_gc = false;
   {
     check::MutexLock lock(&mu_);
     if (!status.ok()) {
@@ -385,26 +351,21 @@ void TransactionManager::ApplyTask(const TxnPtr& txn) {
       parked->state = TxnState::kActive;
       top_pool_->SubmitUrgent([this, parked] { ExecuteTask(parked); });
     }
-    if (completed_.size() > options_.completed_gc_threshold && !gc_scheduled_) {
-      gc_scheduled_ = true;
-      run_gc = true;
+    if (completed_.size() > options_.completed_gc_threshold) {
+      PruneCompletedLocked();
     }
     DebugCheckInvariantsLocked();
     cv_.NotifyAll();
   }
   txn->Finish(Status::OK());
-  if (run_gc) {
-    gc_pool_->Submit([this] { GcTask(); });
-  }
 }
 
-void TransactionManager::GcTask() {
+void TransactionManager::PruneCompletedLocked() {
   // Algorithm 2: remove every completed transaction no active transaction
   // could still conflict-test against (no active T_j started before its
   // completion). Some active T_j started before an entry's completion iff
   // the oldest start stamp did, so one scan of active_ finds that stamp and
   // one scan of completed_ erases every entry that completed no later.
-  check::MutexLock lock(&mu_);
   c_gc_runs_->Increment();
   uint64_t oldest_start = UINT64_MAX;
   for (const auto& [seq, active] : active_) {
@@ -423,7 +384,6 @@ void TransactionManager::GcTask() {
       c_gc_removed_->Increment();
     }
   }
-  gc_scheduled_ = false;
 }
 
 void TransactionManager::FailLocked(const Status& status) {
@@ -442,8 +402,8 @@ void TransactionManager::FailLocked(const Status& status) {
 
 Status TransactionManager::WaitIdle() {
   // Idle means: every submitted transaction completed (active empty) and the
-  // pools drained. The controller can only stall while a committed
-  // transaction is applying, so waiting on active_ is sufficient.
+  // pools drained. Evaluation can only stall while a committed transaction
+  // is applying, so waiting on active_ is sufficient.
   check::MutexLock lock(&mu_);
   while (!active_.empty() && health_.ok()) cv_.Wait();
   return health_;
@@ -465,7 +425,7 @@ Status TransactionManager::QuiesceBarrier(
     }
   }
   // Quiescent: nothing in flight, and Submit* parks on quiescing_. The
-  // callback (checkpoint I/O) runs outside the controller mutex.
+  // callback (checkpoint I/O) runs outside the TM mutex.
   Status status = fn();
   {
     check::MutexLock lock(&mu_);
@@ -510,7 +470,6 @@ TmStats TransactionManager::stats() const {
   stats.gc_runs = c_gc_runs_->Value();
   stats.gc_removed = c_gc_removed_->Value();
   stats.conflict_checks = c_conflict_checks_->Value();
-  stats.class_filter_skips = c_class_filter_skips_->Value();
   return stats;
 }
 

@@ -7,7 +7,6 @@
 #include <map>
 #include <memory>
 #include <queue>
-#include <thread>
 #include <vector>
 
 #include "check/mutex.h"
@@ -40,8 +39,8 @@ struct TmOptions {
   /// threadpool"). Paper default: 20.
   int bottom_threads = 20;
 
-  /// CompletedTransactionList size that triggers the asynchronous removal
-  /// pass (Algorithm 2's threshold).
+  /// CompletedTransactionList size that triggers the removal pass
+  /// (Algorithm 2's threshold).
   size_t completed_gc_threshold = 256;
 
   /// Transient store failures during apply are retried this many times.
@@ -57,14 +56,9 @@ struct TmOptions {
   /// Enables the buffer's read-through cache (ablation knob).
   bool buffer_read_cache = true;
 
-  /// Enables the transaction-classes conflict pre-filter (paper §7's
-  /// proposed optimization): transactions whose table-class signatures are
-  /// disjoint skip the exact key-set intersection entirely.
-  bool enable_class_filter = true;
-
   /// Write-set coalescing on the bottom pool (see BatchDispatchOptions). The
-  /// default is adaptive: the controller feeds the e2e lag of every
-  /// completed transaction back into the chunk size.
+  /// default is adaptive: the e2e lag of every completed transaction is fed
+  /// back into the chunk size.
   BatchDispatchOptions apply_batch{.adaptive = true};
 };
 
@@ -84,9 +78,8 @@ struct TmStats {
   int64_t apply_retries = 0;
   int64_t gc_runs = 0;
   int64_t gc_removed = 0;
-  /// Pairwise conflict evaluations performed / skipped by the class filter.
+  /// Pairwise conflict evaluations performed by Algorithm 1.
   int64_t conflict_checks = 0;
-  int64_t class_filter_skips = 0;
 };
 
 /// The Transaction Manager (paper §5, Fig. 8/9): applies the shipped update
@@ -102,18 +95,23 @@ struct TmStats {
 ///   read state its predecessors are about to overwrite and restart). The
 ///   top pool executes the body against a fresh TxnBuffer (reads hit the
 ///   store and are recorded; writes stay buffered). The finished
-///   transaction enters the CommitReqPQ. A dedicated *controller thread*
-///   evaluates transactions strictly in sequence order (Algorithm 1):
+///   transaction enters the CommitReqPQ. Only a finished (re-)execution can
+///   ready the head, so the thread that pushed it then evaluates, under the
+///   TM mutex, every transaction at the head of the PQ strictly in sequence
+///   order (Algorithm 1):
 ///     - conflict with a COMMITTED predecessor  -> park on its restart list
-///       (the controller stalls: the expected sequence does not advance);
+///       (evaluation stalls: the expected sequence does not advance);
 ///     - conflict with a COMPLETED predecessor that completed after this
 ///       transaction started -> restart immediately;
 ///     - otherwise commit: advance the expected sequence and hand the buffer
 ///       to the *bottom pool*, which applies it to the store, marks the
 ///       transaction COMPLETED and restarts everything parked on it.
-///   An asynchronous pass (Algorithm 2) trims the completed list once it
-///   exceeds `completed_gc_threshold`: it drops every entry that completed
-///   no later than the oldest start stamp among the active transactions.
+///   Once the completed list exceeds `completed_gc_threshold`, the completing
+///   bottom-pool thread trims it (Algorithm 2): it drops every entry that
+///   completed no later than the oldest start stamp among the active
+///   transactions.
+///
+/// A TM runs exactly `top_threads + bottom_threads` threads.
 ///
 /// Conflict predicate (paper §5): two transactions conflict iff their
 /// read/write key sets intersect as R/W, W/R or W/W — key sets include every
@@ -160,7 +158,7 @@ class TransactionManager {
   /// for every in-flight transaction to apply, runs `fn` at the quiescent
   /// point — the replica store then holds exactly the transaction prefix up
   /// to last_applied_lsn(), nothing more — and reopens submissions. `fn`
-  /// runs outside the controller mutex (it may do heavy I/O); submissions
+  /// runs outside the TM mutex (it may do heavy I/O); submissions
   /// stay parked in Submit* until the barrier releases them. Barriers
   /// serialize against each other. Returns `fn`'s status, or the TM's
   /// failure status if it failed before the barrier was reached.
@@ -209,23 +207,16 @@ class TransactionManager {
                         int64_t db_commit_micros = 0, uint64_t lsn = 0,
                         trace::TraceContext trace = {});
 
-  /// Top-pool task: (re-)executes the body into a fresh buffer, then
-  /// enqueues the commit request.
+  /// Top-pool task: (re-)executes the body into a fresh buffer, enqueues the
+  /// commit request, then evaluates the PQ's head while it is the expected
+  /// sequence (Algorithm 1's main loop).
   void ExecuteTask(const TxnPtr& txn);
-
-  /// Controller thread: Algorithm 1 main loop.
-  void ControllerLoop();
 
   /// Evaluates the head transaction.
   void EvaluateLocked(const TxnPtr& txn) TXREP_REQUIRES(mu_);
 
   /// True iff the two transactions' key sets conflict (R/W, W/R or W/W).
   static bool Conflicts(const Transaction& a, const Transaction& b);
-
-  /// Conflicts() behind the class-signature pre-filter; updates filter
-  /// statistics.
-  bool ConflictsFiltered(const Transaction& a, const Transaction& b)
-      TXREP_REQUIRES(mu_);
 
   /// Schedules a fresh execution of `txn`.
   void RestartLocked(const TxnPtr& txn) TXREP_REQUIRES(mu_);
@@ -250,8 +241,8 @@ class TransactionManager {
   /// restarts its parked dependents.
   void ApplyTask(const TxnPtr& txn);
 
-  /// Algorithm 2: asynchronous removal from the completed list.
-  void GcTask();
+  /// Algorithm 2: removal from the completed list.
+  void PruneCompletedLocked() TXREP_REQUIRES(mu_);
 
   /// Marks the TM failed and wakes everyone.
   void FailLocked(const Status& status) TXREP_REQUIRES(mu_);
@@ -301,8 +292,6 @@ class TransactionManager {
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   obs::Counter* c_conflict_checks_ = nullptr;
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
-  obs::Counter* c_class_filter_skips_ = nullptr;
-  // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   Histogram* h_stage_execute_ = nullptr;
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   Histogram* h_stage_commit_eval_ = nullptr;
@@ -330,8 +319,6 @@ class TransactionManager {
   std::unique_ptr<ThreadPool> top_pool_;
   // analyze: lock-free(wired before worker threads start; teardown joins first)
   std::unique_ptr<ThreadPool> bottom_pool_;
-  // analyze: lock-free(wired before worker threads start; teardown joins first)
-  std::unique_ptr<ThreadPool> gc_pool_;  // Single thread: async Algorithm 2.
 
   mutable check::Mutex mu_{"tm.mu"};
   check::CondVar cv_{&mu_};
@@ -339,7 +326,7 @@ class TransactionManager {
       TXREP_GUARDED_BY(mu_);
   /// Next sequence number to hand out.
   uint64_t next_seq_ TXREP_GUARDED_BY(mu_) = 1;
-  /// Next sequence the controller will evaluate.
+  /// Next sequence Algorithm 1 will evaluate (the commit head).
   uint64_t expected_seq_ TXREP_GUARDED_BY(mu_) = 1;
   /// COMMITTED, not yet applied.
   std::map<uint64_t, TxnPtr> committed_ TXREP_GUARDED_BY(mu_);
@@ -350,17 +337,12 @@ class TransactionManager {
   /// Submitted but not yet admitted to the top pool (ascending, contiguous
   /// sequence numbers, all at or past the admission window's end).
   std::deque<TxnPtr> pending_ TXREP_GUARDED_BY(mu_);
-  bool gc_scheduled_ TXREP_GUARDED_BY(mu_) = false;
-  bool stopping_ TXREP_GUARDED_BY(mu_) = false;
   /// A quiescent barrier is draining: Submit* parks until it clears.
   bool quiescing_ TXREP_GUARDED_BY(mu_) = false;
   /// LSN of the last update transaction submitted; frozen at the applied
   /// prefix when the TM fails (nothing in flight will apply any more).
   uint64_t last_submitted_lsn_ TXREP_GUARDED_BY(mu_) = 0;
   Status health_ TXREP_GUARDED_BY(mu_) = Status::OK();
-
-  // analyze: lock-free(thread handle; started in ctor, joined in dtor only)
-  std::thread controller_;
 };
 
 }  // namespace txrep::core

@@ -36,10 +36,10 @@ struct KvClusterOptions {
 
   /// Directory holding the per-node logs ("node-<i>.log"), created if
   /// absent. Reopening the same directory recovers the persisted state.
-  std::string disk_dir;
+  std::string disk_dir = {};
 
   /// Per-node knobs for the disk backend.
-  DiskKvNodeOptions disk;
+  DiskKvNodeOptions disk = {};
 
   /// Threads fanning Multi* sub-batches out to their nodes in parallel; also
   /// the bound on sub-batches in flight per call. 0 dispatches inline

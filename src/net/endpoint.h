@@ -39,7 +39,7 @@ struct EndpointOptions {
   int64_t accept_timeout_micros = 50'000;
 
   /// Per-session transport queues.
-  TransportOptions transport;
+  TransportOptions transport = {};
 };
 
 /// The broker's wire boundary: attaches to a mw::Broker as a fanout and

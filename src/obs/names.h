@@ -71,8 +71,6 @@ inline constexpr char kTmApplyRetries[] = "txrep_tm_apply_retries_total";
 inline constexpr char kTmGcRuns[] = "txrep_tm_gc_runs_total";
 inline constexpr char kTmGcRemoved[] = "txrep_tm_gc_removed_total";
 inline constexpr char kTmConflictChecks[] = "txrep_tm_conflict_checks_total";
-inline constexpr char kTmClassFilterSkips[] =
-    "txrep_tm_class_filter_skips_total";
 /// Restarts per completed transaction (histogram, unitless).
 inline constexpr char kTmTxnRestarts[] = "txrep_tm_txn_restarts";
 

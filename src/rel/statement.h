@@ -28,7 +28,7 @@ struct Predicate {
   std::string column;
   PredicateOp op = PredicateOp::kEq;
   Value operand;
-  Value operand2;  // Only for kBetween (upper bound, inclusive).
+  Value operand2 = {};  // Only for kBetween (upper bound, inclusive).
 
   /// Evaluates the predicate against `value` (the column's value).
   bool Matches(const Value& value) const;
@@ -91,8 +91,8 @@ struct SelectStatement {
   std::string table;
   std::vector<std::string> columns;
   std::vector<Predicate> where;
-  std::vector<AggregateItem> aggregates;
-  std::optional<OrderBy> order_by;
+  std::vector<AggregateItem> aggregates = {};
+  std::optional<OrderBy> order_by = {};
   size_t limit = 0;  // 0 = no limit.
 };
 

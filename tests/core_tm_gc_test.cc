@@ -108,7 +108,7 @@ TEST_F(GcTest, OnlyStartedTransactionsPinLaterCompletions) {
   // started: it waits outside the one-thread admission window). The pass
   // must keep exactly seq 3 — pinned by R's start stamp — and drop 1 and
   // 2, which U, not yet started, cannot need.
-  testing::BlockingStore store(codec::RowKey("T", Value::Int(3)));
+  testing::BlockingStore store({codec::RowKey("T", Value::Int(3))});
   TmOptions options;
   options.top_threads = 1;
   options.bottom_threads = 2;

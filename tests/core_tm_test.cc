@@ -1,9 +1,13 @@
 #include "core/transaction_manager.h"
 
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "codec/kv_keys.h"
 #include "codec/row_codec.h"
@@ -194,7 +198,7 @@ TEST_F(TmTest, RestartCountVisibleOnHandle) {
 TEST_F(TmTest, LastAppliedLsnIsTheAppliedPrefix) {
   // LSN 1's apply is held back while LSNs 2-3 complete: the applied prefix
   // still ends at 0, not at the highest completed LSN.
-  testing::BlockingStore store(codec::RowKey("T", Value::Int(1)));
+  testing::BlockingStore store({codec::RowKey("T", Value::Int(1))});
   TmOptions options;
   options.top_threads = 4;
   options.bottom_threads = 4;
@@ -212,6 +216,86 @@ TEST_F(TmTest, LastAppliedLsnIsTheAppliedPrefix) {
   store.Release();
   TXREP_ASSERT_OK(tm.WaitIdle());
   EXPECT_EQ(tm.last_applied_lsn(), 3u);
+}
+
+TEST_F(TmTest, ParksOnLowestConflictingCommittedPredecessorInTurn) {
+  // Algorithm 1 on a scripted schedule. T1 updates row A and T2 row B; both
+  // commit, but their applies are held, so both stay COMMITTED. Read-only
+  // T3 reads A and B: it parks on T1, the lowest-seq conflicting committed
+  // predecessor, re-runs when T1 completes, parks on T2, and commits once
+  // T2 completed too.
+  const kv::Key row_a = codec::RowKey("T", Value::Int(1));
+  const kv::Key row_b = codec::RowKey("T", Value::Int(2));
+  testing::BlockingStore store({row_a, row_b});
+  for (int64_t id = 1; id <= 2; ++id) {
+    TXREP_ASSERT_OK(translator_->ApplyTransaction(&store, InsertTxn(id, 0)));
+  }
+  TmOptions options;
+  options.top_threads = 3;
+  options.bottom_threads = 2;
+  TransactionManager tm(&store, translator_.get(), options);
+  rel::LogTransaction t1 = UpdateTxn(1, 10);
+  t1.lsn = 1;
+  rel::LogTransaction t2 = UpdateTxn(2, 20);
+  t2.lsn = 2;
+  tm.SubmitUpdate(std::move(t1));
+  tm.SubmitUpdate(std::move(t2));
+  auto seen = std::make_shared<std::vector<int64_t>>();
+  auto t3 = tm.SubmitReadOnly([seen, row_a, row_b](kv::KvStore* view) {
+    seen->clear();
+    for (const kv::Key& key : {row_a, row_b}) {
+      Result<kv::Value> bytes = view->Get(key);
+      if (!bytes.ok()) return bytes.status();
+      TXREP_ASSIGN_OR_RETURN(rel::Row row, codec::DecodeRow(*bytes));
+      seen->push_back(row[1].AsInt());
+    }
+    return Status::OK();
+  });
+
+  auto await_conflicts = [&tm](int64_t n) {
+    const int64_t deadline = NowMicros() + 10'000'000;
+    while (tm.stats().conflicts < n && NowMicros() < deadline) {
+      SleepForMicros(100);
+    }
+    return tm.stats().conflicts;
+  };
+  // Parked on T1: nothing re-runs T3 until T1 completes.
+  ASSERT_EQ(await_conflicts(1), 1);
+  SleepForMicros(20'000);
+  EXPECT_EQ(tm.stats().conflicts, 1);
+  EXPECT_EQ(tm.last_applied_lsn(), 0u);
+
+  // T1 completes and restarts T3, which now parks on T2.
+  store.Release(row_a);
+  ASSERT_EQ(await_conflicts(2), 2);
+  EXPECT_EQ(tm.last_applied_lsn(), 1u);
+
+  store.Release(row_b);
+  TXREP_ASSERT_OK(t3->Wait());
+  TXREP_ASSERT_OK(tm.WaitIdle());
+  EXPECT_EQ(t3->restarts(), 2);
+  EXPECT_EQ(tm.stats().conflicts, 2);
+  EXPECT_EQ(*seen, (std::vector<int64_t>{10, 20}));
+}
+
+TEST_F(TmTest, StartsExactlyTopPlusBottomThreads) {
+  auto thread_count = [] {
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return std::distance(begin(tasks), end(tasks));
+  };
+  kv::InMemoryKvNode store;
+  TmOptions options;
+  options.top_threads = 3;
+  options.bottom_threads = 2;
+  // Threads joined by earlier tests may linger in /proc for a moment; start
+  // from a count that held steady for 1 ms.
+  ptrdiff_t before = thread_count();
+  for (ptrdiff_t prev = -1; before != prev;) {
+    SleepForMicros(1000);
+    prev = std::exchange(before, thread_count());
+  }
+  TransactionManager tm(&store, translator_.get(), options);
+  EXPECT_EQ(thread_count() - before, 5);
 }
 
 /// While closed, holds back every read of `gated_key` until Open(), and

@@ -1,7 +1,8 @@
 #ifndef TXREP_TESTS_TEST_UTIL_H_
 #define TXREP_TESTS_TEST_UTIL_H_
 
-#include <atomic>
+#include <mutex>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -56,27 +57,41 @@ void ExpectDumpsEqual(kv::KvStore& a, kv::KvStore& b);
 void VerifyReplicaMatchesDatabase(kv::KvStore& store, rel::Database& db,
                                   const qt::QueryTranslator& translator);
 
-/// In-memory node that holds back every write batch touching `blocked_key`
-/// until Release().
+/// In-memory node that holds back every write batch touching one of
+/// `blocked_keys` until that key is released.
 class BlockingStore : public kv::InMemoryKvNode {
  public:
-  explicit BlockingStore(kv::Key blocked_key)
-      : blocked_key_(std::move(blocked_key)) {}
+  explicit BlockingStore(std::set<kv::Key> blocked_keys)
+      : blocked_keys_(std::move(blocked_keys)) {}
 
   Status MultiWrite(std::span<const kv::KvWrite> batch,
                     size_t* applied) override {
     for (const kv::KvWrite& write : batch) {
-      if (write.key != blocked_key_) continue;
-      while (!released_.load()) SleepForMicros(100);
+      while (Blocked(write.key)) SleepForMicros(100);
     }
     return kv::InMemoryKvNode::MultiWrite(batch, applied);
   }
 
-  void Release() { released_.store(true); }
+  /// Releases the writes of `key`.
+  void Release(const kv::Key& key) {
+    std::lock_guard<std::mutex> lock(mu_);
+    blocked_keys_.erase(key);
+  }
+
+  /// Releases every blocked key.
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    blocked_keys_.clear();
+  }
 
  private:
-  const kv::Key blocked_key_;
-  std::atomic<bool> released_{false};
+  bool Blocked(const kv::Key& key) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return blocked_keys_.contains(key);
+  }
+
+  std::mutex mu_;
+  std::set<kv::Key> blocked_keys_;
 };
 
 }  // namespace txrep::testing
