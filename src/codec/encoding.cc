@@ -66,6 +66,10 @@ void AppendLengthPrefixed(std::string& dst, std::string_view bytes) {
   dst.append(bytes.data(), bytes.size());
 }
 
+bool GetCount(std::string_view* src, uint64_t* count) {
+  return GetVarint64(src, count) && *count <= src->size();
+}
+
 bool GetLengthPrefixed(std::string_view* src, std::string_view* bytes) {
   uint64_t len = 0;
   if (!GetVarint64(src, &len)) return false;

@@ -23,6 +23,11 @@ bool GetFixed32(std::string_view* src, uint32_t* value);
 void AppendVarint64(std::string& dst, uint64_t value);
 bool GetVarint64(std::string_view* src, uint64_t* value);
 
+/// Varint element count of a sequence whose elements each encode to at least
+/// one byte. Fails when fewer bytes than that remain, so a decoder may
+/// reserve `*count` elements without trusting a hostile count.
+bool GetCount(std::string_view* src, uint64_t* count);
+
 /// Varint length followed by raw bytes.
 void AppendLengthPrefixed(std::string& dst, std::string_view bytes);
 bool GetLengthPrefixed(std::string_view* src, std::string_view* bytes);

@@ -44,7 +44,7 @@ Result<rel::LogTransaction> GetLogTransaction(std::string_view* src) {
                               std::to_string(trace_flags));
   }
   txn.trace.sampled = (trace_flags & kTraceSampledFlag) != 0;
-  if (!GetVarint64(src, &num_ops)) {
+  if (!GetCount(src, &num_ops)) {
     return Status::Corruption("log codec: bad transaction header");
   }
   txn.commit_micros = ZigZagDecode(commit_raw);
@@ -98,7 +98,7 @@ Result<std::vector<rel::LogTransaction>> DecodeLogBatch(
     return Status::Corruption("log codec: batch checksum mismatch");
   }
   uint64_t count = 0;
-  if (!GetVarint64(&bytes, &count)) {
+  if (!GetCount(&bytes, &count)) {
     return Status::Corruption("log codec: bad batch count");
   }
   std::vector<rel::LogTransaction> batch;

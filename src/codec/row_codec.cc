@@ -16,8 +16,8 @@ std::string EncodeRow(const rel::Row& row) {
 
 Result<rel::Row> DecodeRow(std::string_view bytes) {
   uint64_t arity = 0;
-  if (!GetVarint64(&bytes, &arity)) {
-    return Status::Corruption("row codec: bad arity varint");
+  if (!GetCount(&bytes, &arity)) {
+    return Status::Corruption("row codec: bad arity");
   }
   rel::Row row;
   row.reserve(arity);
@@ -47,8 +47,8 @@ std::string EncodePostings(const std::vector<std::string>& row_keys) {
 
 Result<std::vector<std::string>> DecodePostings(std::string_view bytes) {
   uint64_t count = 0;
-  if (!GetVarint64(&bytes, &count)) {
-    return Status::Corruption("postings codec: bad count varint");
+  if (!GetCount(&bytes, &count)) {
+    return Status::Corruption("postings codec: bad count");
   }
   std::vector<std::string> keys;
   keys.reserve(count);

@@ -57,7 +57,7 @@ Result<rel::Catalog> DecodeCatalog(std::string_view bytes) {
     std::string_view name;
     if (!GetLengthPrefixed(&src, &name)) return Corrupt("table name");
     uint64_t num_columns = 0;
-    if (!GetVarint64(&src, &num_columns)) return Corrupt("column count");
+    if (!GetCount(&src, &num_columns)) return Corrupt("column count");
     std::vector<rel::Column> columns;
     columns.reserve(num_columns);
     for (uint64_t c = 0; c < num_columns; ++c) {

@@ -48,20 +48,6 @@ class BlockingQueue {
     return true;
   }
 
-  /// Pushes to the FRONT of the queue (consumed before everything already
-  /// queued). Blocks while full; false iff closed. For urgent work — e.g.
-  /// restarted transactions the whole pipeline is stalled on.
-  bool PushFront(T item) {
-    check::MutexLock lock(&mu_);
-    while (!closed_ && capacity_ != 0 && items_.size() >= capacity_) {
-      not_full_.Wait();
-    }
-    if (closed_) return false;
-    items_.push_front(std::move(item));
-    not_empty_.NotifyOne();
-    return true;
-  }
-
   /// Blocks until an item is available or the queue is closed and drained.
   std::optional<T> Pop() {
     check::MutexLock lock(&mu_);

@@ -16,33 +16,8 @@ ThreadPool::ThreadPool(size_t num_threads, std::string name)
 ThreadPool::~ThreadPool() { Shutdown(); }
 
 bool ThreadPool::Submit(std::function<void()> task) {
-  return SubmitInternal(std::move(task), /*urgent=*/false);
-}
-
-bool ThreadPool::SubmitUrgent(std::function<void()> task) {
-  return SubmitInternal(std::move(task), /*urgent=*/true);
-}
-
-bool ThreadPool::SubmitInternal(std::function<void()> task, bool urgent) {
   if (shutdown_.load(std::memory_order_acquire)) return false;
-  {
-    check::MutexLock lock(&idle_mu_);
-    ++outstanding_;
-  }
-  const bool pushed =
-      urgent ? queue_.PushFront(std::move(task)) : queue_.Push(std::move(task));
-  if (!pushed) {
-    check::MutexLock lock(&idle_mu_);
-    --outstanding_;
-    idle_cv_.NotifyAll();
-    return false;
-  }
-  return true;
-}
-
-void ThreadPool::Wait() {
-  check::MutexLock lock(&idle_mu_);
-  while (outstanding_ != 0) idle_cv_.Wait();
+  return queue_.Push(std::move(task));
 }
 
 void ThreadPool::Shutdown() {
@@ -65,11 +40,6 @@ void ThreadPool::WorkerLoop() {
     std::optional<std::function<void()>> task = queue_.Pop();
     if (!task.has_value()) return;  // Closed and drained.
     (*task)();
-    {
-      check::MutexLock lock(&idle_mu_);
-      --outstanding_;
-      if (outstanding_ == 0) idle_cv_.NotifyAll();
-    }
   }
 }
 

@@ -8,17 +8,15 @@
 #include <thread>
 #include <vector>
 
-#include "check/mutex.h"
 #include "common/blocking_queue.h"
 
 namespace txrep {
 
-/// Fixed-size worker pool.
+/// Fixed-size worker pool draining one FIFO task queue.
 ///
-/// The transaction manager owns two of these — the paper's "top" pool
-/// (transaction execution / translation) and "bottom" pool (applying committed
-/// buffers to the key-value store, Fig. 8). Degree of parallelism is the main
-/// tuning knob of the paper's Fig. 15/16 experiments.
+/// Runs the transaction manager's "bottom" pool (applying committed buffers
+/// to the key-value store, paper Fig. 8), the ticket applier's workers and
+/// the KV cluster's per-node fan-out.
 class ThreadPool {
  public:
   /// Starts `num_threads` workers immediately. `name` is used in thread
@@ -34,16 +32,6 @@ class ThreadPool {
   /// Enqueues a task. Returns false after Shutdown().
   bool Submit(std::function<void()> task);
 
-  /// Enqueues a task ahead of everything already queued (LIFO at the front).
-  /// Use for work the rest of the system is blocked on — e.g. the TM's
-  /// restarted transactions, which carry the expected sequence number commit
-  /// evaluation is stalled at.
-  bool SubmitUrgent(std::function<void()> task);
-
-  /// Blocks until every submitted task (including tasks submitted by running
-  /// tasks) has finished and the queue is empty.
-  void Wait();
-
   /// Stops accepting tasks, drains the queue, joins workers. Idempotent.
   void Shutdown();
 
@@ -53,7 +41,6 @@ class ThreadPool {
   size_t QueueDepth() const { return queue_.size(); }
 
  private:
-  bool SubmitInternal(std::function<void()> task, bool urgent);
   void WorkerLoop();
 
   // analyze: lock-free(BlockingQueue is internally synchronized)
@@ -63,10 +50,6 @@ class ThreadPool {
   // analyze: lock-free(set in ctor, immutable afterwards)
   std::string name_;
 
-  check::Mutex idle_mu_{"thread_pool.idle"};
-  check::CondVar idle_cv_{&idle_mu_};
-  /// Queued + running tasks.
-  size_t outstanding_ TXREP_GUARDED_BY(idle_mu_) = 0;
   std::atomic<bool> shutdown_{false};
 };
 

@@ -28,9 +28,9 @@ const char* TxnStateName(TxnState state);
 
 /// One replica-side transaction flowing through the Transaction Manager:
 /// either an update transaction shipped from the database log or an
-/// interleaved read-only transaction. Shared between the TM's thread pools via
-/// shared_ptr; all mutable fields below are protected by the
-/// TransactionManager's mutex unless noted.
+/// interleaved read-only transaction. Shared between the TM's window workers
+/// and its bottom pool via shared_ptr; all mutable fields below are
+/// protected by the TransactionManager's mutex unless noted.
 class Transaction {
  public:
   /// The transaction body executes against a buffered KvStore view; for
@@ -64,19 +64,18 @@ class Transaction {
   /// Signals completion to Wait()ers. Called exactly once.
   void Finish(Status status);
 
-  // analyze: lock-free(owned by one pipeline stage at a time; queue handoff orders access)
+  // analyze: lock-free(written and read under the TM mutex only)
   TxnState state = TxnState::kActive;
-  /// Logical stamp at (re-)execution start. Atomic because the executing
-  /// thread stamps it lock-free while the GC pass reads it under the TM
-  /// mutex.
+  /// Logical stamp at (re-)execution start. Atomic because the window worker
+  /// stamps it lock-free while the GC pass reads it under the TM mutex.
   std::atomic<uint64_t> start_time{0};
-  // analyze: lock-free(written at commit eval, read downstream; staged handoff orders access)
+  // analyze: lock-free(written at commit eval under the TM mutex, read there or after the bottom-pool hand-off)
   uint64_t commit_time = 0;    // Logical stamp at commit.
   // analyze: lock-free(written by the completing stage only)
   uint64_t complete_time = 0;  // Logical stamp after apply.
-  // analyze: lock-free(written during execute, read after handoff)
+  // analyze: lock-free(posted by the window worker under the TM mutex, read at commit eval)
   Status execution_status;     // Outcome of the last body run.
-  // analyze: lock-free(built during execute; read-only once the txn is queued)
+  // analyze: lock-free(posted under the TM mutex; read-only from then until the next run)
   std::unique_ptr<TxnBuffer> buffer;  // Rebuilt on every (re-)execution.
   /// Transactions parked on this one: restarted when it completes
   /// (Algorithm 1 line 11 / 25).
@@ -89,7 +88,9 @@ class Transaction {
   /// db_commit_micros carries the original database's commit instant for
   /// shipped update transactions; submit_micros is stamped when the
   /// transaction entered the TM (the commit_eval span origin);
-  /// enqueue_micros when the execution result enters the CommitReqPQ;
+  /// enqueue_micros when the latest execution result is posted to the
+  /// execution window to await commit evaluation (the paper's CommitReqPQ;
+  /// the span's queue share runs from here to the commit decision);
   /// commit_wall_micros when Algorithm 1 reaches the commit decision (the
   /// apply span origin).
   // analyze: lock-free(timestamp stamped by exactly one stage)

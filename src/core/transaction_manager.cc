@@ -29,10 +29,13 @@ TransactionManager::TransactionManager(kv::KvStore* store,
   }
   WireMetrics(metrics);
   dispatcher_ = std::make_unique<BatchDispatcher>(options_.apply_batch, metrics);
-  top_pool_ = std::make_unique<ThreadPool>(
-      static_cast<size_t>(options_.top_threads), "tm-top");
   bottom_pool_ = std::make_unique<ThreadPool>(
       static_cast<size_t>(options_.bottom_threads), "tm-bottom");
+  check::MutexLock lock(&mu_);
+  for (int i = 0; i < options_.top_threads; ++i) window_.emplace_back(&mu_);
+  for (Slot& slot : window_) {
+    workers_.emplace_back([this, &slot] { WorkerLoop(&slot); });
+  }
 }
 
 void TransactionManager::WireMetrics(obs::MetricsRegistry* metrics) {
@@ -57,8 +60,6 @@ void TransactionManager::WireMetrics(obs::MetricsRegistry* metrics) {
   h_txn_restarts_ = metrics->GetHistogram(obs::kTmTxnRestarts);
   g_pq_depth_ =
       metrics->GetGauge(obs::kQueueDepth, {{"queue", obs::kQueueCommitReqPq}});
-  g_top_backlog_ =
-      metrics->GetGauge(obs::kQueueDepth, {{"queue", obs::kQueueTmTop}});
   g_bottom_backlog_ =
       metrics->GetGauge(obs::kQueueDepth, {{"queue", obs::kQueueTmBottom}});
   g_admission_backlog_ = metrics->GetGauge(
@@ -68,7 +69,12 @@ void TransactionManager::WireMetrics(obs::MetricsRegistry* metrics) {
 TransactionManager::~TransactionManager() {
   // analyze: discard(destructor drain; nothing to return a timeout to)
   (void)WaitIdle();
-  top_pool_->Shutdown();
+  {
+    check::MutexLock lock(&mu_);
+    stopping_ = true;
+    for (Slot& slot : window_) slot.cv.NotifyOne();
+  }
+  for (std::thread& worker : workers_) worker.join();
   bottom_pool_->Shutdown();
 }
 
@@ -114,62 +120,80 @@ TransactionManager::TxnPtr TransactionManager::SubmitInternal(
     if (!read_only) last_submitted_lsn_ = lsn;
     c_submitted_->Increment();
     if (read_only) c_read_only_submitted_->Increment();
-    pending_.push_back(txn);
-    AdmitLocked();
+    // The slot is free iff its previous occupant, seq - top_threads, has
+    // committed, i.e. iff seq lies inside the window. Otherwise the commit
+    // that frees the slot starts this transaction.
+    Slot& slot = SlotLocked(txn->seq());
+    if (slot.txn == nullptr) {
+      slot.txn = txn;
+      RunLocked(*txn);
+    } else {
+      g_admission_backlog_->Add(1);
+    }
   }
   return txn;
 }
 
-void TransactionManager::AdmitLocked() {
-  // The head (expected_seq_) is always inside the window, so evaluation
-  // never waits on a transaction that was not admitted. Restarted and parked
-  // transactions keep their sequence numbers and so stay inside it.
-  const uint64_t window_end = AdmissionWindowEndLocked();
-  while (!pending_.empty() && pending_.front()->seq() < window_end) {
-    TxnPtr txn = std::move(pending_.front());
-    pending_.pop_front();
-    top_pool_->Submit([this, txn] { ExecuteTask(txn); });
-  }
-  g_admission_backlog_->Set(static_cast<int64_t>(pending_.size()));
-  g_top_backlog_->Set(static_cast<int64_t>(top_pool_->QueueDepth()));
-}
-
-uint64_t TransactionManager::AdmissionWindowEndLocked() const {
-  return expected_seq_ + static_cast<uint64_t>(options_.top_threads);
-}
-
-void TransactionManager::ExecuteTask(const TxnPtr& txn) {
-  {
-    check::MutexLock lock(&mu_);
-    if (!health_.ok()) {
-      txn->Finish(health_);
-      return;
+void TransactionManager::WorkerLoop(Slot* slot) {
+  // The execution this worker finished last, posted at the top of the next
+  // iteration (null before the first).
+  TxnPtr txn;
+  std::unique_ptr<TxnBuffer> buffer;
+  Status status;
+  for (;;) {
+    {
+      check::MutexLock lock(&mu_);
+      if (txn != nullptr) {
+        txn->buffer = std::move(buffer);
+        txn->execution_status = std::move(status);
+        txn->enqueue_micros = NowMicros();
+        slot->executed = true;
+        g_pq_depth_->Add(1);
+        // Only a finished (re-)execution can ready the head, so this thread
+        // runs Algorithm 1 here. A commit (or a failed read-only slot)
+        // advances the head, which may ready successors already executed.
+        while (health_.ok() && SlotLocked(expected_seq_).executed) {
+          Slot& head = SlotLocked(expected_seq_);
+          head.executed = false;
+          g_pq_depth_->Add(-1);
+          // A copy: a commit hands head.txn to the slot's next occupant.
+          const TxnPtr head_txn = head.txn;
+          EvaluateLocked(head_txn);
+        }
+      }
+      // After a failure the slot never runs again: FailLocked finished its
+      // transaction.
+      while (!(slot->run && health_.ok()) && !stopping_) slot->cv.Wait();
+      if (stopping_) return;
+      slot->run = false;
+      txn = slot->txn;
     }
+    // Stamp the start strictly before the first read (Algorithm 1 relies on
+    // start/complete ordering to decide which completed writers might have
+    // been missed).
+    txn->start_time = clock_.Tick();
+    const int64_t exec_start = NowMicros();
+    buffer = std::make_unique<TxnBuffer>(store_, options_.buffer_read_cache);
+    status = txn->body()(buffer.get());
+    h_stage_execute_->Record(NowMicros() - exec_start);
   }
-  // Stamp the start strictly before the first read (Algorithm 1 relies on
-  // start/complete ordering to decide which completed writers might have
-  // been missed).
-  txn->start_time = clock_.Tick();
-  const int64_t exec_start = NowMicros();
-  auto buffer =
-      std::make_unique<TxnBuffer>(store_, options_.buffer_read_cache);
-  Status status = txn->body()(buffer.get());
-  h_stage_execute_->Record(NowMicros() - exec_start);
-  check::MutexLock lock(&mu_);
-  txn->buffer = std::move(buffer);
-  txn->execution_status = std::move(status);
-  txn->enqueue_micros = NowMicros();
-  commit_req_pq_.push(txn);
-  // Only a finished (re-)execution can ready the head, so this thread runs
-  // Algorithm 1 here. A commit (or a failed read-only slot) advances the
-  // head, which may ready successors already waiting in the PQ.
-  while (health_.ok() && !commit_req_pq_.empty() &&
-         commit_req_pq_.top()->seq() == expected_seq_) {
-    TxnPtr head = commit_req_pq_.top();
-    commit_req_pq_.pop();
-    EvaluateLocked(head);
+}
+
+void TransactionManager::RunLocked(const Transaction& txn) {
+  Slot& slot = SlotLocked(txn.seq());
+  slot.run = true;
+  slot.cv.NotifyOne();
+}
+
+void TransactionManager::AdvanceHeadLocked(const Transaction& txn) {
+  expected_seq_ = txn.seq() + 1;
+  Slot& slot = SlotLocked(txn.seq());
+  const auto next = active_.find(txn.seq() + window_.size());
+  slot.txn = next == active_.end() ? nullptr : next->second;
+  if (slot.txn != nullptr) {
+    RunLocked(*slot.txn);
+    g_admission_backlog_->Add(-1);
   }
-  g_pq_depth_->Set(static_cast<int64_t>(commit_req_pq_.size()));
 }
 
 bool TransactionManager::Conflicts(const Transaction& a, const Transaction& b) {
@@ -196,7 +220,7 @@ void TransactionManager::RestartLocked(const TxnPtr& txn) {
   c_restarts_->Increment();
   ++txn->restart_count;
   txn->state = TxnState::kActive;
-  top_pool_->SubmitUrgent([this, txn] { ExecuteTask(txn); });
+  RunLocked(*txn);
 }
 
 void TransactionManager::EvaluateLocked(const TxnPtr& txn) {
@@ -245,8 +269,7 @@ void TransactionManager::EvaluateLocked(const TxnPtr& txn) {
       // the pipeline continue.
       txn->state = TxnState::kCompleted;
       txn->complete_time = clock_.Tick();
-      expected_seq_ = txn->seq() + 1;
-      AdmitLocked();
+      AdvanceHeadLocked(*txn);
       active_.erase(txn->seq());
       c_completed_->Increment();
       txn->Finish(txn->execution_status);
@@ -264,8 +287,7 @@ void TransactionManager::EvaluateLocked(const TxnPtr& txn) {
   txn->state = TxnState::kCommitted;
   txn->commit_time = clock_.Tick();
   committed_[txn->seq()] = txn;
-  expected_seq_ = txn->seq() + 1;
-  AdmitLocked();
+  AdvanceHeadLocked(*txn);
   c_committed_->Increment();
   const int64_t commit_wall = NowMicros();
   txn->commit_wall_micros = commit_wall;
@@ -273,8 +295,9 @@ void TransactionManager::EvaluateLocked(const TxnPtr& txn) {
     h_stage_commit_eval_->Record(commit_wall - txn->enqueue_micros);
   }
   if (tracer_ != nullptr && txn->trace.sampled) {
-    // Sink hand-off -> commit decision; the wait in the CommitReqPQ for the
-    // head to reach it is the queue share, (re-)execution the service share.
+    // Sink hand-off -> commit decision; the wait in the window (the
+    // CommitReqPQ) for the head to reach it is the queue share,
+    // (re-)execution the service share.
     tracer_->RecordSpan(txn->trace, txn->lsn, trace::SpanStage::kCommitEval,
                         txn->submit_micros, commit_wall,
                         txn->enqueue_micros != 0
@@ -349,7 +372,7 @@ void TransactionManager::ApplyTask(const TxnPtr& txn) {
     txn->restart_list.clear();
     for (const TxnPtr& parked : to_restart) {
       parked->state = TxnState::kActive;
-      top_pool_->SubmitUrgent([this, parked] { ExecuteTask(parked); });
+      RunLocked(*parked);
     }
     if (completed_.size() > options_.completed_gc_threshold) {
       PruneCompletedLocked();
@@ -390,12 +413,10 @@ void TransactionManager::FailLocked(const Status& status) {
   last_submitted_lsn_ = AppliedPrefixLocked();
   health_ = status;
   TXREP_LOG(kError) << "transaction manager failed: " << status.ToString();
-  // Finish everything still in flight so waiters unblock. Un-admitted
-  // transactions are in active_ too, so clearing pending_ leaves no handle
-  // unfinished.
+  // Finish everything still in flight so waiters unblock; transactions not
+  // yet in the window are in active_ too. The workers never run again.
   for (auto& [seq, txn] : active_) txn->Finish(status);
   active_.clear();
-  pending_.clear();
   g_admission_backlog_->Set(0);
   cv_.NotifyAll();
 }
@@ -491,14 +512,6 @@ Status TransactionManager::CheckInvariantsLocked() const {
     return violation("expected_seq " + std::to_string(expected_seq_) +
                      " ran past next_seq " + std::to_string(next_seq_));
   }
-  // A commit request at the head of the PQ must never be from the past:
-  // sequences below expected_seq_ were already evaluated and committed.
-  if (!commit_req_pq_.empty() &&
-      commit_req_pq_.top()->seq() < expected_seq_) {
-    return violation("commit request for already-evaluated seq " +
-                     std::to_string(commit_req_pq_.top()->seq()) +
-                     " (expected_seq " + std::to_string(expected_seq_) + ")");
-  }
   for (const auto& [seq, txn] : committed_) {
     if (txn->state != TxnState::kCommitted) {
       return violation("committed-set txn " + std::to_string(seq) +
@@ -554,29 +567,32 @@ Status TransactionManager::CheckInvariantsLocked() const {
     Status order = check_commit_order(seq, txn);
     if (!order.ok()) return order;
   }
-  // The admission window: pending_ holds the contiguous run of sequence
-  // numbers past the window's end, none of them started yet.
-  const uint64_t window_end = AdmissionWindowEndLocked();
-  if (!pending_.empty() && pending_.front()->seq() < window_end) {
-    return violation("pending txn " + std::to_string(pending_.front()->seq()) +
-                     " inside the admission window (ends at " +
-                     std::to_string(window_end) + ")");
+  // The execution window: each submitted sequence number in [expected_seq_,
+  // expected_seq_ + top_threads) sits, ACTIVE, in its own slot, and is not
+  // both executed and due to run again; the slots of the others are empty.
+  // None past the window has started. A failed TM abandons the window.
+  const uint64_t window_end = expected_seq_ + window_.size();
+  for (uint64_t seq = expected_seq_; health_.ok() && seq < window_end; ++seq) {
+    const Slot& slot = window_[seq % window_.size()];
+    const bool consistent =
+        seq < next_seq_
+            ? slot.txn != nullptr && slot.txn->seq() == seq &&
+                  slot.txn->state == TxnState::kActive &&
+                  active_.contains(seq) && !(slot.run && slot.executed)
+            : slot.txn == nullptr && !slot.run && !slot.executed;
+    if (!consistent) {
+      return violation(
+          "window slot of seq " + std::to_string(seq) + " holds " +
+          (slot.txn == nullptr ? "nothing" : std::to_string(slot.txn->seq())) +
+          " (run " + std::to_string(slot.run) + ", executed " +
+          std::to_string(slot.executed) + ")");
+    }
   }
-  for (size_t i = 0; i < pending_.size(); ++i) {
-    const TxnPtr& txn = pending_[i];
-    const uint64_t seq = txn->seq();
-    if (i > 0 && seq != pending_[i - 1]->seq() + 1) {
-      return violation("pending txn " + std::to_string(seq) +
-                       " does not follow pending txn " +
-                       std::to_string(pending_[i - 1]->seq()));
-    }
-    if (active_.find(seq) == active_.end()) {
-      return violation("pending txn " + std::to_string(seq) +
-                       " not tracked as active");
-    }
-    if (txn->start_time != 0) {
-      return violation("pending txn " + std::to_string(seq) +
-                       " started before admission");
+  for (auto it = active_.lower_bound(window_end); it != active_.end(); ++it) {
+    if (it->second->start_time != 0) {
+      return violation("txn " + std::to_string(it->first) +
+                       " started past the window (ends at " +
+                       std::to_string(window_end) + ")");
     }
   }
   // completed_ and committed_ are disjoint seq ranges? Not necessarily

@@ -6,7 +6,7 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <queue>
+#include <thread>
 #include <vector>
 
 #include "check/mutex.h"
@@ -30,9 +30,9 @@ namespace txrep::core {
 /// Tuning knobs of the Transaction Manager.
 struct TmOptions {
   /// Threads converting transactions into buffered KV operations (the "top
-  /// threadpool" of paper Fig. 8). Paper default: 20. Also the admission
-  /// window: only this many sequence numbers from the commit head on are
-  /// handed to the pool at a time.
+  /// threadpool" of paper Fig. 8). Paper default: 20; at least 1. Also the
+  /// width of the execution window: one thread per slot, so only this many
+  /// sequence numbers from the commit head on execute at a time.
   int top_threads = 20;
 
   /// Threads applying committed buffers to the key-value store (the "bottom
@@ -88,24 +88,29 @@ struct TmStats {
 /// lets read-only transactions interleave at chosen sequence positions.
 ///
 /// Pipeline:
-///   Submit*() assigns the next sequence number and queues the transaction
-///   for admission. Only sequence numbers below the commit head plus
-///   `top_threads` are admitted to the *top pool*; the rest wait, unstarted,
-///   until commits move the head (work executed further ahead would only
-///   read state its predecessors are about to overwrite and restart). The
-///   top pool executes the body against a fresh TxnBuffer (reads hit the
-///   store and are recorded; writes stay buffered). The finished
-///   transaction enters the CommitReqPQ. Only a finished (re-)execution can
-///   ready the head, so the thread that pushed it then evaluates, under the
-///   TM mutex, every transaction at the head of the PQ strictly in sequence
-///   order (Algorithm 1):
+///   Submit*() assigns the next sequence number. The *execution window* is
+///   the `top_threads` sequence numbers from the commit head on; sequence
+///   number s lives in window slot s % top_threads from its submission (or,
+///   if later, from the commit of s - top_threads, the slot's previous
+///   occupant) until it commits. One dedicated worker thread per slot
+///   executes the slot's transaction against a fresh TxnBuffer (reads hit the
+///   store and are recorded; writes stay buffered), so nothing past the
+///   window ever runs (work executed further ahead would only read state its
+///   predecessors are about to overwrite and restart). The result waits in
+///   its slot for commit evaluation: the window is the paper's CommitReqPQ,
+///   whose minimum is always the slot of the commit head. Only a finished
+///   (re-)execution can ready the head, so the worker that posted it then
+///   evaluates, under the TM mutex, every ready transaction from the head on
+///   strictly in sequence order (Algorithm 1):
 ///     - conflict with a COMMITTED predecessor  -> park on its restart list
 ///       (evaluation stalls: the expected sequence does not advance);
 ///     - conflict with a COMPLETED predecessor that completed after this
-///       transaction started -> restart immediately;
-///     - otherwise commit: advance the expected sequence and hand the buffer
+///       transaction started -> restart: wake the slot's worker;
+///     - otherwise commit: advance the expected sequence, hand the slot to
+///       the sequence number `top_threads` further on, and hand the buffer
 ///       to the *bottom pool*, which applies it to the store, marks the
-///       transaction COMPLETED and restarts everything parked on it.
+///       transaction COMPLETED and wakes the workers of everything parked on
+///       it.
 ///   Once the completed list exceeds `completed_gc_threshold`, the completing
 ///   bottom-pool thread trims it (Algorithm 2): it drops every entry that
 ///   completed no later than the oldest start stamp among the active
@@ -188,8 +193,8 @@ class TransactionManager {
   /// agreement (committed ⊆ active, completed ∩ active = ∅), sequence bounds
   /// against expected_seq_, commit-stamp monotonicity in sequence order —
   /// the in-flight face of the execution-defined-order guarantee — and the
-  /// admission window (pending transactions are contiguous, unstarted,
-  /// tracked as active and all past the window's end). Returns the
+  /// execution window (each submitted sequence number inside it sits, ACTIVE
+  /// and tracked, in its own slot; none past it has started). Returns the
   /// first violation found. TXREP_DEBUG_CHECKS builds run this automatically
   /// at every commit evaluation / completion and abort on violation.
   Status CheckInvariants() const;
@@ -197,20 +202,43 @@ class TransactionManager {
  private:
   using TxnPtr = std::shared_ptr<Transaction>;
 
-  struct SeqGreater {
-    bool operator()(const TxnPtr& a, const TxnPtr& b) const {
-      return a->seq() > b->seq();
-    }
+  /// One slot of the execution window. Fields are guarded by mu_.
+  struct Slot {
+    explicit Slot(check::Mutex* mu) : cv(mu) {}
+    /// The window's transaction for this slot; null while the slot's next
+    /// sequence number has not been submitted.
+    TxnPtr txn;
+    /// The slot's worker is to (re-)execute `txn`.
+    bool run = false;
+    /// `txn`'s execution result awaits commit evaluation (it is in the
+    /// CommitReqPQ).
+    bool executed = false;
+    /// Wakes the slot's worker; bound to mu_.
+    check::CondVar cv;
   };
 
   TxnPtr SubmitInternal(bool read_only, Transaction::Body body,
                         int64_t db_commit_micros = 0, uint64_t lsn = 0,
                         trace::TraceContext trace = {});
 
-  /// Top-pool task: (re-)executes the body into a fresh buffer, enqueues the
-  /// commit request, then evaluates the PQ's head while it is the expected
-  /// sequence (Algorithm 1's main loop).
-  void ExecuteTask(const TxnPtr& txn);
+  /// The dedicated worker of `slot`: (re-)executes the slot's transaction
+  /// into a fresh buffer whenever woken, posts the result, then evaluates
+  /// the window from the head while the head is ready (Algorithm 1's main
+  /// loop). Returns once the TM is destroyed.
+  void WorkerLoop(Slot* slot);
+
+  /// The window slot of sequence number `seq`.
+  Slot& SlotLocked(uint64_t seq) TXREP_REQUIRES(mu_) {
+    return window_[seq % window_.size()];
+  }
+
+  /// Wakes the worker of `txn`'s slot to (re-)execute it.
+  void RunLocked(const Transaction& txn) TXREP_REQUIRES(mu_);
+
+  /// `txn`, the head, committed or finished as a failed read-only slot:
+  /// advances the head and hands the slot to the sequence number
+  /// `top_threads` further on, starting it if it was submitted.
+  void AdvanceHeadLocked(const Transaction& txn) TXREP_REQUIRES(mu_);
 
   /// Evaluates the head transaction.
   void EvaluateLocked(const TxnPtr& txn) TXREP_REQUIRES(mu_);
@@ -220,14 +248,6 @@ class TransactionManager {
 
   /// Schedules a fresh execution of `txn`.
   void RestartLocked(const TxnPtr& txn) TXREP_REQUIRES(mu_);
-
-  /// Hands pending_'s front to the top pool while its sequence number lies
-  /// inside the window [expected_seq_, expected_seq_ + top_threads). Called
-  /// on submission and wherever expected_seq_ advances.
-  void AdmitLocked() TXREP_REQUIRES(mu_);
-
-  /// First sequence number past the admission window.
-  uint64_t AdmissionWindowEndLocked() const TXREP_REQUIRES(mu_);
 
   /// CheckInvariants() body.
   Status CheckInvariantsLocked() const TXREP_REQUIRES(mu_);
@@ -304,8 +324,6 @@ class TransactionManager {
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   obs::Gauge* g_pq_depth_ = nullptr;
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
-  obs::Gauge* g_top_backlog_ = nullptr;
-  // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   obs::Gauge* g_bottom_backlog_ = nullptr;
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   obs::Gauge* g_admission_backlog_ = nullptr;
@@ -316,14 +334,13 @@ class TransactionManager {
   std::unique_ptr<BatchDispatcher> dispatcher_;
 
   // analyze: lock-free(wired before worker threads start; teardown joins first)
-  std::unique_ptr<ThreadPool> top_pool_;
-  // analyze: lock-free(wired before worker threads start; teardown joins first)
   std::unique_ptr<ThreadPool> bottom_pool_;
 
   mutable check::Mutex mu_{"tm.mu"};
   check::CondVar cv_{&mu_};
-  std::priority_queue<TxnPtr, std::vector<TxnPtr>, SeqGreater> commit_req_pq_
-      TXREP_GUARDED_BY(mu_);
+  /// The execution window, `top_threads` slots (a deque: slots hold a
+  /// CondVar, which cannot move).
+  std::deque<Slot> window_ TXREP_GUARDED_BY(mu_);
   /// Next sequence number to hand out.
   uint64_t next_seq_ TXREP_GUARDED_BY(mu_) = 1;
   /// Next sequence Algorithm 1 will evaluate (the commit head).
@@ -334,15 +351,18 @@ class TransactionManager {
   std::map<uint64_t, TxnPtr> completed_ TXREP_GUARDED_BY(mu_);
   /// Submitted, not yet completed.
   std::map<uint64_t, TxnPtr> active_ TXREP_GUARDED_BY(mu_);
-  /// Submitted but not yet admitted to the top pool (ascending, contiguous
-  /// sequence numbers, all at or past the admission window's end).
-  std::deque<TxnPtr> pending_ TXREP_GUARDED_BY(mu_);
   /// A quiescent barrier is draining: Submit* parks until it clears.
   bool quiescing_ TXREP_GUARDED_BY(mu_) = false;
   /// LSN of the last update transaction submitted; frozen at the applied
   /// prefix when the TM fails (nothing in flight will apply any more).
   uint64_t last_submitted_lsn_ TXREP_GUARDED_BY(mu_) = 0;
   Status health_ TXREP_GUARDED_BY(mu_) = Status::OK();
+  /// Set by the destructor: the workers return.
+  bool stopping_ TXREP_GUARDED_BY(mu_) = false;
+
+  /// One worker per window slot (declared last: they use every member above).
+  // analyze: lock-free(started in the ctor, joined in the dtor; workers never touch it)
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace txrep::core

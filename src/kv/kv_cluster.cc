@@ -108,7 +108,7 @@ void KvCluster::FanOut(const std::vector<int>& node_indices,
     return;
   }
   // Per-call completion latch: the pool is shared by concurrent Multi*
-  // callers, so ThreadPool::Wait() (global) would over-wait.
+  // callers, so each call waits for its own tasks only.
   check::Mutex mu("kv.dispatch_latch");
   check::CondVar cv(&mu);
   size_t pending = node_indices.size();

@@ -51,12 +51,13 @@ inline constexpr char kSloBurnRatePermille[] = "txrep_slo_burn_rate_permille";
 // --- queue depths -----------------------------------------------------------
 /// Gauge, labeled {queue="..."}.
 inline constexpr char kQueueDepth[] = "txrep_queue_depth";
+/// Executed transactions in the TM's execution window awaiting commit
+/// evaluation (the paper's CommitReqPQ).
 inline constexpr char kQueueCommitReqPq[] = "commit_req_pq";
 inline constexpr char kQueueBroker[] = "broker";
-inline constexpr char kQueueTmTop[] = "tm_top_pool";
 inline constexpr char kQueueTmBottom[] = "tm_bottom_pool";
-/// Submitted transactions waiting for the TM's admission window (sequence
-/// numbers at or past the commit head plus top_threads).
+/// Submitted transactions waiting to enter the TM's execution window
+/// (sequence numbers at or past the commit head plus top_threads).
 inline constexpr char kQueueTmAdmission[] = "tm_admission";
 
 // --- transaction manager ----------------------------------------------------

@@ -52,7 +52,7 @@ Result<CheckpointManifest> CheckpointManifest::Decode(std::string_view bytes) {
     return Status::Corruption("unsupported manifest version");
   }
   if (!codec::GetVarint64(&src, &manifest.snapshot_epoch) ||
-      !codec::GetVarint64(&src, &num_files)) {
+      !codec::GetCount(&src, &num_files)) {
     return Status::Corruption("manifest header underflow");
   }
   manifest.files.reserve(num_files);
@@ -133,7 +133,7 @@ Result<std::vector<std::pair<std::string, std::string>>> DecodeSnapshotPayload(
   if (!codec::GetVarint64(&src, &version) || version != kSnapshotVersion) {
     return Status::Corruption("unsupported snapshot version");
   }
-  if (!codec::GetVarint64(&src, &count)) {
+  if (!codec::GetCount(&src, &count)) {
     return Status::Corruption("snapshot header underflow");
   }
   std::vector<std::pair<std::string, std::string>> dump;

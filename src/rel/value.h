@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -30,9 +31,11 @@ class Value {
   Value() : payload_(std::monostate{}) {}
 
   static Value Null() { return Value(); }
-  static Value Int(int64_t v) { return Value(Payload(v)); }
-  static Value Real(double v) { return Value(Payload(v)); }
-  static Value Str(std::string v) { return Value(Payload(std::move(v))); }
+  static Value Int(int64_t v) { return Value(std::in_place_type<int64_t>, v); }
+  static Value Real(double v) { return Value(std::in_place_type<double>, v); }
+  static Value Str(std::string v) {
+    return Value(std::in_place_type<std::string>, std::move(v));
+  }
 
   ValueType type() const {
     return static_cast<ValueType>(payload_.index());
@@ -66,7 +69,11 @@ class Value {
 
  private:
   using Payload = std::variant<std::monostate, int64_t, double, std::string>;
-  explicit Value(Payload payload) : payload_(std::move(payload)) {}
+  // Builds the payload in place: moving a temporary variant holding a
+  // string makes GCC 12 report -Wmaybe-uninitialized at every inlined use.
+  template <typename T, typename Arg>
+  Value(std::in_place_type_t<T> type, Arg&& arg)
+      : payload_(type, std::forward<Arg>(arg)) {}
 
   Payload payload_;
 };

@@ -28,13 +28,15 @@ SloWatchdog::SloWatchdog(SloOptions options, obs::MetricsRegistry* metrics,
   options_.window_micros =
       std::max<int64_t>(options_.window_buckets, options_.window_micros);
   buckets_ = std::vector<Bucket>(options_.window_buckets);
-  if (metrics != nullptr) {
-    c_observations_ = metrics->GetCounter(obs::kSloObservations);
-    c_violations_ = metrics->GetCounter(obs::kSloViolations);
-    c_stalls_ = metrics->GetCounter(obs::kSloStalls);
-    c_dumps_ = metrics->GetCounter(obs::kSloDumps);
-    g_burn_permille_ = metrics->GetGauge(obs::kSloBurnRatePermille);
+  if (metrics == nullptr) {
+    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
+    metrics = owned_metrics_.get();
   }
+  c_observations_ = metrics->GetCounter(obs::kSloObservations);
+  c_violations_ = metrics->GetCounter(obs::kSloViolations);
+  c_stalls_ = metrics->GetCounter(obs::kSloStalls);
+  c_dumps_ = metrics->GetCounter(obs::kSloDumps);
+  g_burn_permille_ = metrics->GetGauge(obs::kSloBurnRatePermille);
   last_progress_micros_ = NowMicros();
 }
 
@@ -87,12 +89,10 @@ void SloWatchdog::ObserveLag(int64_t lag_micros) {
     }
   }
   bucket.total.fetch_add(1, std::memory_order_relaxed);
-  observations_.fetch_add(1, std::memory_order_relaxed);
-  if (c_observations_ != nullptr) c_observations_->Increment();
+  c_observations_->Increment();
   if (lag_micros > options_.lag_objective_micros) {
     bucket.violations.fetch_add(1, std::memory_order_relaxed);
-    violations_.fetch_add(1, std::memory_order_relaxed);
-    if (c_violations_ != nullptr) c_violations_->Increment();
+    c_violations_->Increment();
   }
 }
 
@@ -117,8 +117,7 @@ double SloWatchdog::BurnRate(int64_t total, int64_t violations) const {
 }
 
 void SloWatchdog::TriggerDump(const std::string& reason) {
-  dumps_.fetch_add(1, std::memory_order_relaxed);
-  if (c_dumps_ != nullptr) c_dumps_->Increment();
+  c_dumps_->Increment();
   std::vector<SpanEvent> events;
   if (tracer_ != nullptr) events = tracer_->Dump();
   DumpSink sink;
@@ -139,9 +138,7 @@ void SloWatchdog::Poll() {
   int64_t violations = 0;
   WindowCounts(&total, &violations);
   const double burn = BurnRate(total, violations);
-  if (g_burn_permille_ != nullptr) {
-    g_burn_permille_->Set(static_cast<int64_t>(burn * 1000.0));
-  }
+  g_burn_permille_->Set(static_cast<int64_t>(burn * 1000.0));
 
   bool warn_burn = false;
   std::string stall_reason;
@@ -166,8 +163,7 @@ void SloWatchdog::Poll() {
       } else if (!stall_active_ &&
                  now - last_progress_micros_ >= options_.stall_timeout_micros) {
         stall_active_ = true;
-        stalls_.fetch_add(1, std::memory_order_relaxed);
-        if (c_stalls_ != nullptr) c_stalls_->Increment();
+        c_stalls_->Increment();
         char buf[160];
         snprintf(buf, sizeof(buf),
                  "apply stalled: no progress past lsn %" PRIu64 " for %" PRId64
@@ -188,13 +184,13 @@ void SloWatchdog::Poll() {
 
 SloStatus SloWatchdog::Snapshot() const {
   SloStatus status;
-  status.observations = observations_.load(std::memory_order_relaxed);
-  status.violations = violations_.load(std::memory_order_relaxed);
+  status.observations = c_observations_->Value();
+  status.violations = c_violations_->Value();
   WindowCounts(&status.window_observations, &status.window_violations);
   status.burn_rate =
       BurnRate(status.window_observations, status.window_violations);
-  status.stalls = stalls_.load(std::memory_order_relaxed);
-  status.dumps = dumps_.load(std::memory_order_relaxed);
+  status.stalls = c_stalls_->Value();
+  status.dumps = c_dumps_->Value();
   return status;
 }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -143,11 +144,6 @@ class SloWatchdog {
   std::vector<Bucket> buckets_;
   check::Mutex rotate_mu_{"trace.slo_rotate"};
 
-  std::atomic<int64_t> observations_{0};
-  std::atomic<int64_t> violations_{0};
-  std::atomic<int64_t> stalls_{0};
-  std::atomic<int64_t> dumps_{0};
-
   check::Mutex mu_{"trace.slo"};
   std::function<SloProbe()> probe_ TXREP_GUARDED_BY(mu_);
   DumpSink dump_sink_ TXREP_GUARDED_BY(mu_);
@@ -155,6 +151,11 @@ class SloWatchdog {
   int64_t last_progress_micros_ TXREP_GUARDED_BY(mu_) = 0;
   bool stall_active_ TXREP_GUARDED_BY(mu_) = false;
   bool burn_warned_ TXREP_GUARDED_BY(mu_) = false;
+
+  /// Private fallback registry when the caller injects none, so the
+  /// counters below (what Snapshot() reads) always exist.
+  // analyze: lock-free(set in ctor, never reseated; registry is internally synchronized)
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
 
   // analyze: lock-free(registry-owned metric; set once in ctor, internally synchronized)
   obs::Counter* c_violations_ = nullptr;

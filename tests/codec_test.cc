@@ -4,6 +4,7 @@
 #include "codec/kv_keys.h"
 #include "codec/log_codec.h"
 #include "codec/row_codec.h"
+#include "codec/schema_codec.h"
 #include "codec/value_codec.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -205,6 +206,38 @@ TEST(LogCodecTest, CorruptionDetected) {
   EXPECT_TRUE(DecodeLogBatch(std::string_view(bytes).substr(0, 3))
                   .status()
                   .IsCorruption());
+}
+
+// A count read from the input must not size an allocation: a count larger
+// than the bytes left (every element takes at least one) is corruption, even
+// behind a correct checksum.
+TEST(HostileCountTest, HugeCountsAreCorruption) {
+  constexpr uint64_t kHuge = uint64_t{1} << 62;
+  auto checksummed = [](std::string body) {
+    AppendFixed64(body, Fnv1a(body));
+    return body;
+  };
+  std::string huge;
+  AppendVarint64(huge, kHuge);
+
+  EXPECT_TRUE(DecodeRow(huge).status().IsCorruption());
+  EXPECT_TRUE(DecodePostings(huge).status().IsCorruption());
+  EXPECT_TRUE(DecodeLogBatch(checksummed(huge)).status().IsCorruption());
+
+  // One transaction: lsn 1, commit 0, trace id 0, no flags, then the op count.
+  std::string txn;
+  AppendVarint64(txn, 1);
+  for (uint64_t field : {1, 0, 0}) AppendVarint64(txn, field);
+  txn.push_back('\0');
+  AppendVarint64(txn, kHuge);
+  EXPECT_TRUE(DecodeLogBatch(checksummed(txn)).status().IsCorruption());
+
+  // One table "T" with the column count.
+  std::string catalog;
+  AppendVarint64(catalog, 1);
+  AppendLengthPrefixed(catalog, "T");
+  AppendVarint64(catalog, kHuge);
+  EXPECT_TRUE(DecodeCatalog(checksummed(catalog)).status().IsCorruption());
 }
 
 }  // namespace

@@ -132,18 +132,7 @@ TEST(BlockingQueueTest, PushVariantsAllFailAfterClose) {
   q.Close();
   EXPECT_FALSE(q.Push(1));
   EXPECT_FALSE(q.TryPush(2));
-  EXPECT_FALSE(q.PushFront(3));
   EXPECT_EQ(q.size(), 0u);  // Nothing leaked into a closed queue.
-}
-
-TEST(BlockingQueueTest, PushFrontJumpsTheLine) {
-  BlockingQueue<int> q;
-  ASSERT_TRUE(q.Push(1));
-  ASSERT_TRUE(q.Push(2));
-  ASSERT_TRUE(q.PushFront(99));
-  EXPECT_EQ(*q.Pop(), 99);
-  EXPECT_EQ(*q.Pop(), 1);
-  EXPECT_EQ(*q.Pop(), 2);
 }
 
 TEST(BlockingQueueTest, MpmcNoLossNoDuplication) {

@@ -14,7 +14,7 @@ TEST(ThreadPoolTest, ExecutesAllTasks) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(pool.Submit([&] { counter++; }));
   }
-  pool.Wait();
+  pool.Shutdown();  // Drains the queue before it joins.
   EXPECT_EQ(counter.load(), 100);
 }
 
@@ -23,22 +23,8 @@ TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
   EXPECT_EQ(pool.num_threads(), 1u);
   std::atomic<bool> ran{false};
   pool.Submit([&] { ran = true; });
-  pool.Wait();
+  pool.Shutdown();
   EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPoolTest, WaitCoversTasksSubmittedByTasks) {
-  ThreadPool pool(2, "test");
-  std::atomic<int> counter{0};
-  pool.Submit([&] {
-    counter++;
-    pool.Submit([&] {
-      counter++;
-      pool.Submit([&] { counter++; });
-    });
-  });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 3);
 }
 
 TEST(ThreadPoolTest, ShutdownDrainsPendingTasks) {
@@ -69,45 +55,11 @@ TEST(ThreadPoolTest, ParallelismOverlapsSleeps) {
     pool.Submit(
         [] { std::this_thread::sleep_for(std::chrono::milliseconds(30)); });
   }
-  pool.Wait();
+  pool.Shutdown();
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
                            std::chrono::steady_clock::now() - start)
                            .count();
   EXPECT_LT(elapsed, 160);
-}
-
-TEST(ThreadPoolTest, UrgentTasksJumpTheQueue) {
-  ThreadPool pool(1, "test");
-  std::mutex mu;
-  std::vector<int> order;
-  std::atomic<bool> release{false};
-  // Occupy the single worker so subsequent submissions queue up.
-  pool.Submit([&] {
-    while (!release) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  });
-  for (int i = 0; i < 3; ++i) {
-    pool.Submit([&, i] {
-      std::lock_guard<std::mutex> lock(mu);
-      order.push_back(i);
-    });
-  }
-  pool.SubmitUrgent([&] {
-    std::lock_guard<std::mutex> lock(mu);
-    order.push_back(99);
-  });
-  release = true;
-  pool.Wait();
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order[0], 99);  // Urgent ran before the earlier-queued tasks.
-  EXPECT_EQ(order[1], 0);
-  EXPECT_EQ(order[2], 1);
-  EXPECT_EQ(order[3], 2);
-}
-
-TEST(ThreadPoolTest, WaitOnIdlePoolReturnsImmediately) {
-  ThreadPool pool(2, "test");
-  pool.Wait();  // Must not hang.
-  SUCCEED();
 }
 
 TEST(ThreadPoolTest, DoubleShutdownIsSafe) {
@@ -150,21 +102,6 @@ TEST(ThreadPoolTest, DestructionDrainsQueuedWork) {
     }
   }  // ~ThreadPool: drain-then-stop.
   EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPoolTest, SubmitUrgentAfterShutdownFails) {
-  ThreadPool pool(1, "test");
-  pool.Shutdown();
-  EXPECT_FALSE(pool.SubmitUrgent([] {}));
-}
-
-TEST(ThreadPoolTest, WaitAfterShutdownReturnsImmediately) {
-  ThreadPool pool(2, "test");
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 10; ++i) pool.Submit([&] { counter++; });
-  pool.Shutdown();
-  pool.Wait();  // All work is done; must not block.
-  EXPECT_EQ(counter.load(), 10);
 }
 
 }  // namespace

@@ -399,6 +399,38 @@ TEST_F(TmWindowTest, TopPoolRunsAtMostTopThreadsPastTheHead) {
   testing::ExpectDumpsEqual(serial, store);
 }
 
+TEST_F(TmWindowTest, QueueGaugesCountTheWindow) {
+  // The head's read is held: the other top_threads - 1 window transactions
+  // execute and wait for commit evaluation; the rest wait to enter.
+  constexpr int kTopThreads = 4;
+  constexpr int64_t kTxns = 3 * kTopThreads;
+  GatedReadStore store(codec::RowKey("T", Value::Int(1)));
+  Populate(&store, kTxns);
+  TmOptions options;
+  options.top_threads = kTopThreads;
+  options.bottom_threads = 2;
+  TransactionManager tm(&store, translator_.get(), options, &metrics_);
+  auto awaiting_evaluation = [this] {
+    return metrics_
+        .GetGauge(obs::kQueueDepth, {{"queue", obs::kQueueCommitReqPq}})
+        ->Value();
+  };
+  store.Close();
+  for (int64_t id = 1; id <= kTxns; ++id) tm.SubmitUpdate(UpdateTxn(id, id));
+
+  const int64_t deadline = NowMicros() + 10'000'000;
+  while (awaiting_evaluation() < kTopThreads - 1 && NowMicros() < deadline) {
+    SleepForMicros(200);
+  }
+  EXPECT_EQ(awaiting_evaluation(), kTopThreads - 1);
+  EXPECT_EQ(AdmissionBacklog(), kTxns - kTopThreads);
+
+  store.Open();
+  TXREP_ASSERT_OK(tm.WaitIdle());
+  EXPECT_EQ(awaiting_evaluation(), 0);
+  EXPECT_EQ(AdmissionBacklog(), 0);
+}
+
 TEST_F(TmWindowTest, FailureFinishesUnadmittedTransactions) {
   // LSN 2 updates a row that does not exist — a fatal replay error — and
   // its read is held until LSNs 3..20 are submitted, most of them still

@@ -108,8 +108,8 @@ TEST(ObsPipelineTest, ConcurrentPipelineRecordsEveryStage) {
   // Queue-depth gauges exist for every backlog in the pipeline; after a full
   // drain they must read as empty or better-than-empty never negative.
   for (const char* queue :
-       {obs::kQueueCommitReqPq, obs::kQueueBroker, obs::kQueueTmTop,
-        obs::kQueueTmBottom, obs::kQueueTmAdmission}) {
+       {obs::kQueueCommitReqPq, obs::kQueueBroker, obs::kQueueTmBottom,
+        obs::kQueueTmAdmission}) {
     const MetricPoint* g =
         FindGauge(snapshot, obs::kQueueDepth, {{"queue", queue}});
     ASSERT_NE(g, nullptr) << "queue " << queue;

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "codec/encoding.h"
 #include "gtest/gtest.h"
 #include "kv/inmemory_node.h"
 #include "kv/kv_cluster.h"
@@ -72,6 +73,22 @@ TEST_F(RecovCheckpointTest, ManifestRoundTrip) {
   }
   // Trailing junk must be detected too.
   EXPECT_FALSE(CheckpointManifest::Decode(encoded + "x").ok());
+}
+
+TEST_F(RecovCheckpointTest, HugeEntryCountsAreCorruption) {
+  // Version 1, then (manifest) epoch 7 or (snapshot) nothing, then a count
+  // no remaining bytes can hold — behind a correct checksum.
+  auto with_count = [](std::vector<uint64_t> header) {
+    std::string body;
+    header.push_back(uint64_t{1} << 62);
+    for (uint64_t field : header) codec::AppendVarint64(body, field);
+    codec::AppendFixed64(body, codec::Fnv1a(body));
+    return body;
+  };
+  EXPECT_TRUE(CheckpointManifest::Decode(with_count({1, 7}))
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(DecodeSnapshotPayload(with_count({1})).status().IsCorruption());
 }
 
 TEST_F(RecovCheckpointTest, FileNames) {

@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "trace/slo.h"
 #include "trace/tracer.h"
 
@@ -119,6 +121,33 @@ TEST(TraceSloTest, StallTriggersOneDumpPerEpisode) {
   status = watchdog.Snapshot();
   EXPECT_EQ(status.stalls, 2);
   EXPECT_EQ(status.dumps, 2);
+}
+
+TEST(TraceSloTest, SnapshotAndRegistryCountersAgree) {
+  obs::MetricsRegistry metrics;
+  SloOptions options = ManualOptions();
+  options.stall_timeout_micros = 0;
+  SloWatchdog watchdog(options, &metrics);
+  watchdog.SetProgressProbe(
+      [] { return SloProbe{.applied_lsn = 1, .backlog = 1}; });
+  watchdog.SetDumpSink(
+      [](const std::string&, const std::vector<SpanEvent>&) {});
+  for (int i = 0; i < 7; ++i) watchdog.ObserveLag(50);
+  for (int i = 0; i < 3; ++i) watchdog.ObserveLag(500);
+  watchdog.Poll();  // Arms the progress clock at lsn 1.
+  watchdog.Poll();  // No progress with a backlog: one stall, one dump.
+
+  const SloStatus status = watchdog.Snapshot();
+  EXPECT_EQ(status.observations, 10);
+  EXPECT_EQ(status.violations, 3);
+  EXPECT_EQ(status.stalls, 1);
+  EXPECT_EQ(status.dumps, 1);
+  EXPECT_EQ(metrics.GetCounter(obs::kSloObservations)->Value(),
+            status.observations);
+  EXPECT_EQ(metrics.GetCounter(obs::kSloViolations)->Value(),
+            status.violations);
+  EXPECT_EQ(metrics.GetCounter(obs::kSloStalls)->Value(), status.stalls);
+  EXPECT_EQ(metrics.GetCounter(obs::kSloDumps)->Value(), status.dumps);
 }
 
 TEST(TraceSloTest, EmptyBacklogNeverStalls) {
